@@ -1,10 +1,19 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race bench perf perfscale fuzz crash-smoke loadsmoke chaossmoke clustersmoke
+.PHONY: check ignored fmt vet build test race bench perf perfscale fuzz crash-smoke loadsmoke chaossmoke clustersmoke
 
-## check: the full verification gate — format, vet, build, tests, race-mode
-## tests for the concurrent subsystems.
-check: fmt vet build test race
+## check: the full verification gate — no ignored Go sources, format, vet,
+## build, tests, race-mode tests for the concurrent subsystems.
+check: ignored fmt vet build test race
+
+## ignored: fail when .gitignore hides a Go source file. An ignored file
+## builds in the working tree but never reaches a commit, so a clean
+## checkout stops building.
+ignored:
+	@out="$$(git ls-files --others --ignored --exclude-standard -- '*.go')"; \
+	if [ -n "$$out" ]; then \
+		echo "Go sources ignored by .gitignore:"; echo "$$out"; exit 1; \
+	fi
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -80,15 +89,12 @@ clustersmoke:
 bench:
 	$(GO) test -bench=. -benchtime=1x -benchmem ./...
 
-## perf: the estimation-path performance suite — compiled plans against the
-## plan-free path and batched against sequential estimation, written to
-## BENCH_PR5.json (ns/op, allocs/op, p50/p99, plan-cache hit rate), plus
-## the service-level load profile: a 10s open-loop prmload run against the
-## in-process serving stack, written to BENCH_PR7.json (p50/p99/p99.9,
-## achieved QPS, server SLO state). Stdout is benchstat-consumable:
-## redirect two runs to files and `benchstat old new`.
+## perf: the service-level load profile — a 10s open-loop prmload run
+## against the in-process serving stack, written to BENCH_PR7.json
+## (p50/p99/p99.9, achieved QPS, server SLO state) — plus the perfscale
+## sweep below. The repository's benchmark is perfbench/ (see
+## BENCHMARK.json).
 perf:
-	$(GO) run ./cmd/prmbench -perf -json BENCH_PR5.json -rows 20000 -iters 300
 	$(GO) run ./cmd/prmload -inprocess -rows 20000 -rate 200 -duration 10s \
 		-distinct 256 -slo-latency 500ms -slo-latency-target 0.99 \
 		-json BENCH_PR7.json

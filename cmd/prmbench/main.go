@@ -30,17 +30,7 @@ func main() {
 	maxq := flag.Int("maxq", 2000, "per-suite query cap (0 = every instantiation)")
 	seed := flag.Int64("seed", 1, "generator and estimator seed")
 	trace := flag.Bool("trace", false, "print a span tree per figure (structure-search progress and timings) to stderr")
-	perf := flag.Bool("perf", false, "run the estimation-path performance suite (compiled vs uncompiled plans, batch vs sequential) instead of the accuracy figures")
-	jsonOut := flag.String("json", "", "with -perf: also write the machine-readable report to this path (e.g. BENCH_PR5.json)")
-	iters := flag.Int("iters", 400, "with -perf: timed estimates per workload")
 	flag.Parse()
-
-	if *perf {
-		if err := runPerf(*jsonOut, *iters, *rows, *scale, *seed); err != nil {
-			log.Fatalf("perf: %v", err)
-		}
-		return
-	}
 
 	opt := eval.Options{MaxQueries: *maxq, Seed: *seed}
 	figs := strings.Split(*figFlag, ",")

@@ -40,8 +40,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "generator seed")
 	budget := flag.Int("budget", 4400, "model storage budget in bytes")
 	cacheCap := flag.Int("cache", 4096, "inference cache capacity (entries)")
-	timeout := flag.Duration("timeout", 10*time.Second, "per-request timeout")
-	requestTimeout := flag.Duration("request-timeout", 0, "hard per-request context deadline, mapped to a structured 503 deadline_exceeded (0 = off; -timeout still bounds handler time)")
+	timeout := flag.Duration("timeout", 10*time.Second, "per-request deadline on /v1/*, /healthz and /debug/vars; an estimate still running at it answers a structured 503")
 	readTimeout := flag.Duration("read-timeout", 30*time.Second, "max time to read a full request, body included")
 	writeTimeout := flag.Duration("write-timeout", 30*time.Second, "max time to write a full response")
 	idleTimeout := flag.Duration("idle-timeout", 2*time.Minute, "max keep-alive idle time per connection")
@@ -193,7 +192,7 @@ func main() {
 	// connection (and its admission slot) forever.
 	httpSrv := &http.Server{
 		Addr:              *addr,
-		Handler:           requestDeadline(*requestTimeout, srv.Handler()),
+		Handler:           srv.Handler(),
 		ReadHeaderTimeout: 5 * time.Second,
 		ReadTimeout:       *readTimeout,
 		WriteTimeout:      *writeTimeout,
@@ -237,45 +236,4 @@ func main() {
 		fmt.Fprintf(os.Stderr, "prmserved: shutdown: %v\n", err)
 	}
 	log.Print("shutdown complete")
-}
-
-// requestDeadline wraps the whole handler tree in a per-request context
-// deadline. The serve layer already cancels inference when the context
-// ends; this middleware additionally guarantees the client gets a
-// structured answer — if the deadline fired and nothing was written yet,
-// it answers 503 deadline_exceeded itself (with Retry-After, so the
-// refusal reads as pushback, not an outage).
-func requestDeadline(d time.Duration, next http.Handler) http.Handler {
-	if d <= 0 {
-		return next
-	}
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		ctx, cancel := context.WithTimeout(r.Context(), d)
-		defer cancel()
-		dw := &deadlineWriter{ResponseWriter: w}
-		next.ServeHTTP(dw, r.WithContext(ctx))
-		if !dw.wrote && errors.Is(ctx.Err(), context.DeadlineExceeded) {
-			w.Header().Set("Content-Type", "application/json")
-			w.Header().Set("Retry-After", "1")
-			w.WriteHeader(http.StatusServiceUnavailable)
-			fmt.Fprintf(w, "{\"error\":\"deadline_exceeded\",\"timeout\":%q}\n", d)
-		}
-	})
-}
-
-// deadlineWriter tracks whether the inner handler wrote anything, so the
-// deadline middleware never stacks a second response on a real one.
-type deadlineWriter struct {
-	http.ResponseWriter
-	wrote bool
-}
-
-func (w *deadlineWriter) WriteHeader(code int) {
-	w.wrote = true
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *deadlineWriter) Write(b []byte) (int, error) {
-	w.wrote = true
-	return w.ResponseWriter.Write(b)
 }

@@ -192,7 +192,7 @@ func (s *Server) handleEstimateBatch(w http.ResponseWriter, r *http.Request) {
 func (s *Server) estimateBatchItem(ctx context.Context, snap *Snapshot, wanted []string, key string, q *query.Query, item *batchItemResponse) {
 	itemStart := time.Now()
 	val, hit, deduped, err := s.cache.Do(key, func() (any, error) {
-		return s.estimateMiss(ctx, snap, wanted, q)
+		return s.estimateMiss(ctx, snap, wanted, q, "")
 	})
 	item.Cache = cacheInfo{Hit: hit, Deduped: deduped}
 	item.Micros = time.Since(itemStart).Microseconds()

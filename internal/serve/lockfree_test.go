@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"math/rand"
 	"net/http/httptest"
 	"runtime/metrics"
@@ -156,6 +157,57 @@ func TestEstimateCachedHitZeroMutexWait(t *testing.T) {
 		t.Errorf("cached-hit estimates accumulated %.3fs of mutex wait, want ~0 (lock on the hit path?)", delta)
 	}
 	t.Logf("mutex wait over %d×200ms estimate hammer: %.6fs", workers, delta)
+}
+
+// hitPathAllocs pins the allocations of one warm cached estimate through
+// Server.Handler, the client's httptest request and recorder included, at
+// the count measured once the request deadline ran in the request's own
+// goroutine and hits answered from the pre-rendered reply. A per-request
+// goroutine hand-off or a per-hit re-encode adds allocations and fails
+// TestEstimateHitPathAllocs.
+const hitPathAllocs = 87
+
+// TestEstimateHitPathAllocs guards the whole served hit path: routing,
+// deadline, logging, decode, parse, cache probe, reply, and bookkeeping.
+func TestEstimateHitPathAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc accounting in -short")
+	}
+	if raceEnabled {
+		// The race runtime drops sync.Pool items at random and moves some
+		// values to the heap, so its counts are higher and vary.
+		t.Skip("allocation count is pinned for non-race builds")
+	}
+	h := NewServer(Config{
+		Registry:      fig1Registry(t),
+		SlowThreshold: time.Hour, // journal idle: fast successes never kept
+		// No controller goroutine: AllocsPerRun counts process-wide mallocs.
+		DisableBrownout: true,
+		Logger:          slog.New(slog.NewTextHandler(io.Discard, nil)),
+	}).Handler()
+	const body = `{"query":"FROM People p WHERE p.Income = high"}`
+	serve := func() *httptest.ResponseRecorder {
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest("POST", "/v1/estimate", strings.NewReader(body)))
+		return rr
+	}
+	if rr := serve(); rr.Code != 200 {
+		t.Fatalf("warmup = %d: %s", rr.Code, rr.Body)
+	}
+	// Best of three: a real extra allocation shows up in every window; GC
+	// or scheduler noise only inflates some.
+	best := math.Inf(1)
+	for i := 0; i < 3; i++ {
+		best = min(best, testing.AllocsPerRun(200, func() {
+			if rr := serve(); rr.Code != 200 || !strings.Contains(rr.Body.String(), `"hit": true`) {
+				t.Fatalf("cached hit = %d: %s", rr.Code, rr.Body)
+			}
+		}))
+	}
+	if best > hitPathAllocs {
+		t.Errorf("cached hit through Handler allocates %v per request, want <= %d", best, hitPathAllocs)
+	}
+	t.Logf("cached hit through Handler: %v allocs per request (pinned at %d)", best, hitPathAllocs)
 }
 
 // refLRU is the old eviction policy (exact move-to-front LRU), kept as

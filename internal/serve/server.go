@@ -1,11 +1,13 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"expvar"
 	"fmt"
+	"io"
 	"log"
 	"log/slog"
 	"math"
@@ -266,47 +268,55 @@ func (s *Server) StartDrain() { s.draining.Store(true) }
 // Draining reports whether StartDrain has been called.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
-// Handler returns the service's HTTP handler: the versioned JSON API,
-// health, and debug vars behind the per-request timeout, plus the pprof
-// endpoints mounted outside it (a 30-second CPU profile must not be killed
-// by the request deadline), all wrapped in structured request logging.
-// The timeout cancels the request context, so an expired estimate stops
-// inference between elimination steps rather than finishing a dead
-// request's factor products.
+// Handler returns the service's HTTP handler, wrapped in structured
+// request logging. The versioned JSON API, health, and debug vars run
+// under the per-request deadline (Config.RequestTimeout); readiness,
+// metrics, the request journal, and the pprof endpoints sit outside it (a
+// readiness probe must answer even when the request path is saturated, and
+// a 30-second CPU profile must not be killed by the deadline).
 func (s *Server) Handler() http.Handler {
-	api := http.NewServeMux()
-	api.HandleFunc("POST /v1/estimate", s.handleEstimate)
-	api.HandleFunc("POST /v1/estimate/batch", s.handleEstimateBatch)
-	api.HandleFunc("POST /v1/ingest", s.handleIngest)
-	api.HandleFunc("POST /v1/feedback", s.handleFeedback)
-	api.HandleFunc("GET /v1/models", s.handleModels)
-	api.HandleFunc("POST /v1/models/{name}/rebuild", s.handleRebuild)
-	api.HandleFunc("GET /v1/models/{name}/snapshot", s.handleSnapshotGet)
-	api.HandleFunc("POST /v1/models/{name}/load", s.handleSnapshotLoad)
-	api.HandleFunc("GET /healthz", s.handleHealthz)
-	api.Handle("GET /debug/vars", expvar.Handler())
+	mux := http.NewServeMux()
+	api := func(pattern string, h http.HandlerFunc) { mux.Handle(pattern, s.withDeadline(h)) }
+	api("POST /v1/estimate", s.handleEstimate)
+	api("POST /v1/estimate/batch", s.handleEstimateBatch)
+	api("POST /v1/ingest", s.handleIngest)
+	api("POST /v1/feedback", s.handleFeedback)
+	api("GET /v1/models", s.handleModels)
+	api("POST /v1/models/{name}/rebuild", s.handleRebuild)
+	api("GET /v1/models/{name}/snapshot", s.handleSnapshotGet)
+	api("POST /v1/models/{name}/load", s.handleSnapshotLoad)
+	api("GET /healthz", s.handleHealthz)
+	api("GET /debug/vars", expvar.Handler().ServeHTTP)
 
-	root := http.NewServeMux()
-	root.Handle("/", http.TimeoutHandler(api, s.cfg.RequestTimeout, `{"error":"request timed out"}`))
-	// Readiness sits outside the timeout handler: a readiness probe must
-	// answer even when the request path is saturated enough to time out.
-	root.HandleFunc("GET /readyz", s.handleReadyz)
-	root.HandleFunc("GET /metrics", s.handleMetrics)
-	root.HandleFunc("GET /debug/requests", s.handleDebugRequests)
-	root.HandleFunc("GET /debug/pprof/", pprof.Index)
-	root.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
-	root.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
-	root.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
-	root.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
-	return s.logging(root)
+	mux.HandleFunc("GET /readyz", s.handleReadyz)
+	mux.HandleFunc("GET /metrics", s.handleMetrics)
+	mux.HandleFunc("GET /debug/requests", s.handleDebugRequests)
+	mux.HandleFunc("GET /debug/pprof/", pprof.Index)
+	mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
+	return s.logging(mux)
+}
+
+// withDeadline runs h in the request's own goroutine under a context that
+// expires after Config.RequestTimeout. Handlers turn the expired context
+// into their own structured answer: an estimate stops inference between
+// elimination steps and answers 503, and a write that finished anyway
+// reports what it did rather than a timeout.
+func (s *Server) withDeadline(h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
+		defer cancel()
+		h(w, r.WithContext(ctx))
+	}
 }
 
 // logging assigns every request a trace id — the journal's event id,
 // echoed in the X-Trace-Id and X-PRM-Trace response headers and stamped
 // on the structured log record, so a log line, a journal entry, and a
-// histogram exemplar join on one id. It sits outside the timeout handler
-// so timed-out requests log their real 503 status, and it feeds the SLO
-// engine's availability and latency objectives.
+// histogram exemplar join on one id. It logs every request's real status
+// and feeds the SLO engine's availability and latency objectives.
 func (s *Server) logging(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		started := time.Now()
@@ -425,13 +435,61 @@ type estimateResponse struct {
 }
 
 // cachedEstimate is what the inference cache stores: everything derived
-// from running the estimators, nothing request-specific.
+// from running the estimators, nothing request-specific. reply, set only
+// on entries a single-estimate miss filled, is writeJSON's rendering of
+// the answer up to the cache block (see renderReply); it is written
+// before the entry is published and never after.
 type cachedEstimate struct {
 	query      string
 	estimate   float64
 	tier       string
 	tierReason string
 	breakdown  []estimatorResult
+	reply      []byte
+}
+
+// response is the reply body for this answer from model at generation gen.
+func (ce *cachedEstimate) response(model string, gen int64, c cacheInfo) *estimateResponse {
+	return &estimateResponse{
+		Model:      model,
+		Generation: gen,
+		Query:      ce.query,
+		Estimate:   ce.estimate,
+		Tier:       ce.tier,
+		TierReason: ce.tierReason,
+		Breakdown:  ce.breakdown,
+		Cache:      c,
+	}
+}
+
+// replyTail is how writeJSON ends a response whose Cache and
+// LatencyMicros are zero and that has no exact, trace, or explain
+// section.
+const replyTail = "  \"cache\": {\n    \"hit\": false,\n    \"deduped\": false\n  },\n  \"latency_micros\": 0\n}\n"
+
+// renderReply renders ce's reply as writeJSON does and keeps everything
+// before the cache block, so a plain answer is the prefix plus
+// appendReplyTail's bytes instead of a fresh encode. It returns nil when
+// the answer does not encode (a baseline's non-finite estimate), leaving
+// such answers to writeJSON.
+func renderReply(model string, gen int64, ce *cachedEstimate) []byte {
+	var buf bytes.Buffer
+	if err := encodeJSON(&buf, ce.response(model, gen, cacheInfo{})); err != nil {
+		return nil
+	}
+	return bytes.Clone(bytes.TrimSuffix(buf.Bytes(), []byte(replyTail)))
+}
+
+// appendReplyTail appends the request-specific end of a pre-rendered
+// reply, byte for byte as writeJSON renders those fields.
+func appendReplyTail(b []byte, c cacheInfo, latencyMicros int64) []byte {
+	b = append(b, "  \"cache\": {\n    \"hit\": "...)
+	b = strconv.AppendBool(b, c.Hit)
+	b = append(b, ",\n    \"deduped\": "...)
+	b = strconv.AppendBool(b, c.Deduped)
+	b = append(b, "\n  },\n  \"latency_micros\": "...)
+	b = strconv.AppendInt(b, latencyMicros, 10)
+	return append(b, "\n}\n"...)
 }
 
 // nonFiniteError marks a primary estimate that came back NaN or ±Inf.
@@ -519,7 +577,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 
 	cctx, csp := obs.Start(ctx, "cache")
 	val, hit, deduped, err := s.cache.Do(key, func() (any, error) {
-		return s.estimateMiss(cctx, snap, wanted, q)
+		return s.estimateMiss(cctx, snap, wanted, q, model.Name)
 	})
 	csp.Set(obs.Bool("hit", hit), obs.Bool("deduped", deduped))
 	csp.End()
@@ -583,21 +641,25 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	}
 	ce := val.(*cachedEstimate)
 	jd.query, jd.tier = ce.query, ce.tier
+	c := cacheInfo{Hit: hit, Deduped: deduped}
 
-	resp := &estimateResponse{
-		Model:      model.Name,
-		Generation: snap.Generation,
-		Query:      ce.query,
-		Estimate:   ce.estimate,
-		Tier:       ce.tier,
-		TierReason: ce.tierReason,
-		Breakdown:  ce.breakdown,
-		Cache:      cacheInfo{Hit: hit, Deduped: deduped},
-	}
-
-	// Ground truth: on request, or on the configured sampling cadence.
 	seq := s.reqSeq.Add(1)
 	sampled := s.cfg.ExactEvery > 0 && seq%int64(s.cfg.ExactEvery) == 0
+	trace := r.URL.RawQuery != "" && r.URL.Query().Get("trace") == "1"
+	if ce.reply != nil && !req.Exact && !sampled && !trace {
+		// A plain answer: the entry's pre-rendered reply plus this
+		// request's cache outcome and latency.
+		jd.status = http.StatusOK
+		// Room for the tail: replyTail's length plus 20 latency digits.
+		b := append(make([]byte, 0, len(ce.reply)+len(replyTail)+20), ce.reply...)
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusOK)
+		w.Write(appendReplyTail(b, c, time.Since(started).Microseconds()))
+		return
+	}
+	resp := ce.response(model.Name, snap.Generation, c)
+
+	// Ground truth: on request, or on the configured sampling cadence.
 	if req.Exact || sampled {
 		exactStart := time.Now()
 		esp := tr.Root().Start("exact")
@@ -618,7 +680,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	resp.LatencyMicros = time.Since(started).Microseconds()
 	jd.status = http.StatusOK
 
-	if r.URL.Query().Get("trace") == "1" {
+	if trace {
 		tr.End()
 		resp.Trace = tr.Root().Dump()
 		if ex, ok := snap.Primary().(explainer); ok && len(q.NonKeyJoins) == 0 {
@@ -662,8 +724,11 @@ type fallbackEstimator interface {
 // which never reach here), then admission, then the estimator run.
 // Answers degraded by the brownout tier ceiling come back wrapped in
 // noStore so they never enter the cache — a cached AVI answer would
-// otherwise keep serving long after the brownout released.
-func (s *Server) estimateMiss(ctx context.Context, snap *Snapshot, wanted []string, q *query.Query) (any, error) {
+// otherwise keep serving long after the brownout released. A single
+// estimate names its model so the answer's reply is pre-rendered here,
+// before Do publishes the entry; the batch endpoint passes "" and renders
+// its own items.
+func (s *Server) estimateMiss(ctx context.Context, snap *Snapshot, wanted []string, q *query.Query, model string) (any, error) {
 	if s.res != nil && s.res.shedding() {
 		s.res.noteShed()
 		return nil, ErrShed
@@ -680,6 +745,9 @@ func (s *Server) estimateMiss(ctx context.Context, snap *Snapshot, wanted []stri
 	ce, err := s.runEstimators(ctx, snap, wanted, q)
 	if err != nil {
 		return nil, err
+	}
+	if model != "" {
+		ce.reply = renderReply(model, snap.Generation, ce)
 	}
 	if ce.tier != string(core.TierExact) && s.tierCeiling() > tierCeilExact {
 		return noStore{val: ce}, nil
@@ -1104,9 +1172,15 @@ func (s *Server) fail(w http.ResponseWriter, code int, msg string) {
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
+	_ = encodeJSON(w, v)
+}
+
+// encodeJSON is how every reply body is rendered; renderReply's
+// pre-rendered replies depend on it being the same encoder settings.
+func encodeJSON(w io.Writer, v any) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	return enc.Encode(v)
 }
 
 // qerror is the symmetric multiplicative error, floored at one row on both
