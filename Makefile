@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check ignored fmt vet build test race bench perf perfscale fuzz crash-smoke loadsmoke chaossmoke clustersmoke
+.PHONY: check ignored fmt vet build test race bench loc perf perfscale fuzz crash-smoke loadsmoke chaossmoke clustersmoke
 
 ## check: the full verification gate — no ignored Go sources, format, vet,
 ## build, tests, race-mode tests for the concurrent subsystems.
@@ -88,6 +88,13 @@ clustersmoke:
 ## real numbers, or `make perf` for the estimation-path report.
 bench:
 	$(GO) test -bench=. -benchtime=1x -benchmem ./...
+
+## loc: the size of the root module's non-test Go code (committed files,
+## the perfbench module excluded) in lines and packages. Each change
+## reports its net delta of this count.
+LOC_FILES = git ls-files '*.go' ':!:*_test.go' ':!:perfbench/**'
+loc:
+	@echo "$$($(LOC_FILES) | xargs cat | wc -l) non-test Go lines in $$($(LOC_FILES) | xargs dirname | sort -u | wc -l) packages"
 
 ## perf: the service-level load profile — a 10s open-loop prmload run
 ## against the in-process serving stack, written to BENCH_PR7.json

@@ -11,11 +11,9 @@ import (
 	"sync"
 	"testing"
 
-	"prmsel/internal/bayesnet"
 	"prmsel/internal/datagen"
 	"prmsel/internal/dataset"
 	"prmsel/internal/eval"
-	"prmsel/internal/learn"
 	"prmsel/internal/query"
 )
 
@@ -199,6 +197,27 @@ func benchEstimate(b *testing.B, kind CPDKind) {
 func BenchmarkEstimateTree(b *testing.B)  { benchEstimate(b, TreeCPDs) }
 func BenchmarkEstimateTable(b *testing.B) { benchEstimate(b, TableCPDs) }
 
+// BenchmarkEstimateRange times one census estimate whose range predicates
+// keep several dimensions alive through variable elimination.
+func BenchmarkEstimateRange(b *testing.B) {
+	census, _, _ := benchData()
+	model, err := Build(census, Config{BudgetBytes: 6000})
+	if err != nil {
+		b.Fatal(err)
+	}
+	q := NewQuery().Over("c", "Census").
+		Where("c", "Income", 20, 21, 22, 23, 24, 25).
+		Where("c", "Age", 5, 6, 7).
+		WhereEq("c", "Children", 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := model.EstimateCount(q); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkEstimateJoin(b *testing.B) {
 	_, tb, _ := benchData()
 	model, err := Build(tb, Config{BudgetBytes: 4400})
@@ -261,29 +280,6 @@ func BenchmarkAblationCPDKind(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationElimOrder compares min-fill vs reverse-topological
-// variable elimination inside estimation.
-func BenchmarkAblationElimOrder(b *testing.B) {
-	census, _, _ := benchData()
-	model, err := Build(census, Config{BudgetBytes: 6000})
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Reach inside via the estimator path: elimination order is exercised
-	// by the range query below, which keeps several dimensions alive.
-	q := NewQuery().Over("c", "Census").
-		Where("c", "Income", 20, 21, 22, 23, 24, 25).
-		Where("c", "Age", 5, 6, 7).
-		WhereEq("c", "Children", 1)
-	b.Run("minfill-rangequery", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := model.EstimateCount(q); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkAblationPruning measures the single-pass MI candidate-pruning
 // speedup (the paper's future-work "home in on candidate models" idea).
 func BenchmarkAblationPruning(b *testing.B) {
@@ -301,44 +297,4 @@ func BenchmarkAblationPruning(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkAblationInference compares the two exact inference engines —
-// per-query variable elimination vs the compiled junction tree — on a
-// learned census network.
-func BenchmarkAblationInference(b *testing.B) {
-	census, _, _ := benchData()
-	tbl := census.Table("Census")
-	// MaxParents keeps the treewidth low enough for the junction tree's
-	// clique-size guard; without it the census net triangulates into a
-	// billions-of-cells clique and only variable elimination applies.
-	net, _, err := learn.LearnBN(tbl, learn.FitConfig{Kind: learn.Tree},
-		learn.Options{Criterion: learn.SSN, BudgetBytes: 6000, MaxParents: 2})
-	if err != nil {
-		b.Fatal(err)
-	}
-	evt := bayesnet.Event{
-		net.VarByName("WorkerClass"):   {2},
-		net.VarByName("Education"):     {8},
-		net.VarByName("MaritalStatus"): {0},
-	}
-	b.Run("variable-elimination", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := net.Probability(evt); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("junction-tree", func(b *testing.B) {
-		jt, err := net.CompileJunctionTree()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := jt.Probability(evt); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }

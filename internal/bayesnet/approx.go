@@ -9,43 +9,31 @@ import (
 	"prmsel/internal/obs"
 )
 
-// LikelihoodWeighting estimates P(evt) by importance sampling: ancestral
-// sampling where event variables are not sampled but clamped, with each
-// particle weighted by the probability of the clamping. It is the
-// approximate fallback for networks whose exact inference is intractable
-// (BN inference is NP-hard in general, paper §2.3; the junction tree
-// compiler rejects huge cliques and even variable elimination can blow up
-// on dense structures).
+// LikelihoodWeightingCtx estimates P(evt) by importance sampling:
+// ancestral sampling where event variables are not sampled but clamped,
+// with each particle weighted by the probability of the clamping. It is
+// the approximate fallback for networks whose exact inference is
+// intractable (BN inference is NP-hard in general, paper §2.3, and
+// variable elimination can blow up on dense structures): the tier of the
+// graceful-degradation chain that answers when exact elimination refuses
+// its resource budget.
 //
 // For multi-value (range) evidence the sampler draws the variable from its
 // conditional restricted to the accepted set and weights by the accepted
 // mass. The estimator is unbiased; its variance shrinks as O(1/samples).
-func (n *Network) LikelihoodWeighting(evt Event, samples int, rng *rand.Rand) (float64, error) {
-	return n.LikelihoodWeightingCtx(context.Background(), evt, samples, rng)
-}
-
-// LikelihoodWeightingCtx is LikelihoodWeighting under a context: a
-// span-carrying context records the sampling as an "approx" span, and
-// cancellation stops the particle loop between batches. This is the
-// entry point of the graceful-degradation chain — the tier that answers
-// when exact elimination refuses its resource budget.
+// A span-carrying context records the sampling as an "approx" span, and
+// cancellation stops the particle loop between batches.
 func (n *Network) LikelihoodWeightingCtx(ctx context.Context, evt Event, samples int, rng *rand.Rand) (float64, error) {
 	if samples <= 0 {
 		return 0, fmt.Errorf("bayesnet: need a positive sample count, got %d", samples)
 	}
+	if err := n.validateEvent(evt); err != nil {
+		return 0, err
+	}
 	accept := make(map[int]map[int32]bool, len(evt))
 	for v, set := range evt {
-		if v < 0 || v >= len(n.vars) {
-			return 0, fmt.Errorf("bayesnet: event references unknown variable %d", v)
-		}
-		if len(set) == 0 {
-			return 0, fmt.Errorf("bayesnet: event on %s has empty value set", n.vars[v].Name)
-		}
 		m := make(map[int32]bool, len(set))
 		for _, val := range set {
-			if val < 0 || int(val) >= n.vars[v].Card {
-				return 0, fmt.Errorf("bayesnet: event value %d out of domain for %s", val, n.vars[v].Name)
-			}
 			m[val] = true
 		}
 		accept[v] = m

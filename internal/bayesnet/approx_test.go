@@ -1,6 +1,7 @@
 package bayesnet
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -21,7 +22,7 @@ func TestLikelihoodWeightingConvergesToExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		approx, err := net.LikelihoodWeighting(evt, 200000, rng)
+		approx, err := net.LikelihoodWeightingCtx(context.Background(), evt, 200000, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -40,7 +41,7 @@ func TestLikelihoodWeightingRandomNets(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		approx, err := net.LikelihoodWeighting(evt, 100000, rng)
+		approx, err := net.LikelihoodWeightingCtx(context.Background(), evt, 100000, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,16 +54,16 @@ func TestLikelihoodWeightingRandomNets(t *testing.T) {
 func TestLikelihoodWeightingErrors(t *testing.T) {
 	net := fig1Net(t)
 	rng := rand.New(rand.NewSource(1))
-	if _, err := net.LikelihoodWeighting(Event{0: {0}}, 0, rng); err == nil {
+	if _, err := net.LikelihoodWeightingCtx(context.Background(), Event{0: {0}}, 0, rng); err == nil {
 		t.Error("zero samples accepted")
 	}
-	if _, err := net.LikelihoodWeighting(Event{9: {0}}, 10, rng); err == nil {
+	if _, err := net.LikelihoodWeightingCtx(context.Background(), Event{9: {0}}, 10, rng); err == nil {
 		t.Error("unknown variable accepted")
 	}
-	if _, err := net.LikelihoodWeighting(Event{0: {}}, 10, rng); err == nil {
+	if _, err := net.LikelihoodWeightingCtx(context.Background(), Event{0: {}}, 10, rng); err == nil {
 		t.Error("empty set accepted")
 	}
-	if _, err := net.LikelihoodWeighting(Event{0: {9}}, 10, rng); err == nil {
+	if _, err := net.LikelihoodWeightingCtx(context.Background(), Event{0: {9}}, 10, rng); err == nil {
 		t.Error("out-of-domain value accepted")
 	}
 }
@@ -79,7 +80,7 @@ func TestLikelihoodWeightingZeroProbabilityEvent(t *testing.T) {
 	b.SetDist([]int32{1}, []float64{0, 1})
 	net.SetCPD(1, b)
 	rng := rand.New(rand.NewSource(3))
-	p, err := net.LikelihoodWeighting(Event{0: {1}}, 1000, rng)
+	p, err := net.LikelihoodWeightingCtx(context.Background(), Event{0: {1}}, 1000, rng)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,8 @@
 // Package bayesnet implements Bayesian networks over discrete variables:
 // the DAG structure, table- and tree-structured conditional probability
 // distributions (CPDs), storage-size accounting, exact inference by
-// variable elimination, and ancestral sampling.
+// compiled variable elimination, and approximate inference by likelihood
+// weighting.
 //
 // In the selectivity-estimation setting (Getoor, Taskar & Koller, SIGMOD
 // 2001) a network approximates the joint frequency distribution over the
@@ -11,7 +12,6 @@ package bayesnet
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 
 	"prmsel/internal/factor"
@@ -228,31 +228,4 @@ func (n *Network) JointProb(assignment []int32) float64 {
 		}
 	}
 	return p
-}
-
-// Sample draws one full assignment by ancestral sampling.
-func (n *Network) Sample(rng *rand.Rand) []int32 {
-	order, err := n.TopoOrder()
-	if err != nil {
-		panic(err)
-	}
-	out := make([]int32, len(n.vars))
-	for _, v := range order {
-		pvals := make([]int32, len(n.parents[v]))
-		for i, q := range n.parents[v] {
-			pvals[i] = out[q]
-		}
-		u := rng.Float64()
-		var cum float64
-		val := int32(n.vars[v].Card - 1)
-		for x := 0; x < n.vars[v].Card; x++ {
-			cum += n.cpds[v].Prob(int32(x), pvals)
-			if u < cum {
-				val = int32(x)
-				break
-			}
-		}
-		out[v] = val
-	}
-	return out
 }

@@ -237,22 +237,6 @@ func TestVariableEliminationMatchesJoint(t *testing.T) {
 	}
 }
 
-// TestElimOrdersAgree: min-fill and reverse-topological elimination give
-// the same probabilities.
-func TestElimOrdersAgree(t *testing.T) {
-	check := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		net := randomNet(rng, 3+rng.Intn(3))
-		evt := Event{0: {0}, net.NumVars() - 1: {0}}
-		p1, err1 := net.ProbabilityOrd(evt, MinFill)
-		p2, err2 := net.ProbabilityOrd(evt, ReverseTopo)
-		return err1 == nil && err2 == nil && math.Abs(p1-p2) < 1e-9
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestTreeCPDEquivalentTable(t *testing.T) {
 	// A tree CPD that splits on its single parent must behave like the
 	// equivalent table CPD.
@@ -314,23 +298,6 @@ func TestValidateCatchesMissingAndMalformedCPDs(t *testing.T) {
 	net.SetParents(1, []int{0})
 	if err := net.Validate(); err == nil {
 		t.Error("cycle accepted")
-	}
-}
-
-func TestSampleMatchesMarginals(t *testing.T) {
-	net := fig1Net(t)
-	rng := rand.New(rand.NewSource(7))
-	const n = 200000
-	counts := make([]int, 3)
-	for i := 0; i < n; i++ {
-		counts[net.Sample(rng)[1]]++ // Income marginal: 0.47, 0.30, 0.23
-	}
-	want := []float64{0.47, 0.30, 0.23}
-	for i, w := range want {
-		got := float64(counts[i]) / n
-		if math.Abs(got-w) > 0.01 {
-			t.Errorf("P(I=%d) sampled = %v, want %v", i, got, w)
-		}
 	}
 }
 

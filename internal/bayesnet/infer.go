@@ -51,75 +51,31 @@ func (e *BudgetError) Unwrap() error { return ErrBudgetExceeded }
 // equality predicate; larger sets encode range/IN predicates.
 type Event map[int][]int32
 
-// ElimOrder selects the variable-elimination ordering heuristic.
-type ElimOrder int
-
-const (
-	// MinFill greedily eliminates the variable introducing the fewest fill
-	// edges in the interaction graph. Default.
-	MinFill ElimOrder = iota
-	// ReverseTopo eliminates in reverse topological order; used as the
-	// ablation baseline for ordering quality.
-	ReverseTopo
-)
-
-// String names the heuristic for trace annotations.
-func (o ElimOrder) String() string {
-	if o == ReverseTopo {
-		return "reverse-topo"
-	}
-	return "min-fill"
-}
-
 // Probability returns P(evt) under the network's joint distribution,
 // computed by variable elimination over the ancestral closure of the event
 // variables. Only the queried variables and their ancestors enter the
 // computation (paper §3.3).
 func (n *Network) Probability(evt Event) (float64, error) {
-	return n.probability(context.Background(), evt, MinFill, Budget{})
+	return n.probability(context.Background(), evt, Budget{})
 }
 
-// ProbabilityCtx is Probability under a context: a span-carrying context
-// records the elimination as an "infer" span, and cancellation stops the
-// elimination between variables (the unit of work that actually costs —
-// each step may multiply large factors).
-func (n *Network) ProbabilityCtx(ctx context.Context, evt Event) (float64, error) {
-	return n.probability(ctx, evt, MinFill, Budget{})
-}
-
-// ProbabilityOrd is Probability with an explicit elimination-order
-// heuristic.
-func (n *Network) ProbabilityOrd(evt Event, ord ElimOrder) (float64, error) {
-	return n.probability(context.Background(), evt, ord, Budget{})
-}
-
-// ProbabilityBudget is ProbabilityCtx under a resource budget: the
-// elimination refuses (with an error wrapping ErrBudgetExceeded) to build
-// any intermediate factor over the budget, checking before it allocates,
-// and re-checks the context's deadline between factor products rather than
-// only between variables.
+// ProbabilityBudget is Probability under a context and a resource budget.
+// A span-carrying context records the elimination as an "infer" span, and
+// cancellation stops it between variables. A zero Budget is unlimited.
+// Under a set one the elimination refuses, with an error wrapping
+// ErrBudgetExceeded, to build any intermediate factor over the budget
+// (checking before it allocates), and re-checks the context's deadline
+// between factor products rather than only between variables.
 func (n *Network) ProbabilityBudget(ctx context.Context, evt Event, b Budget) (float64, error) {
-	return n.probability(ctx, evt, MinFill, b)
+	return n.probability(ctx, evt, b)
 }
 
-// ProbabilityUncompiled is Probability forced through the plan-free path:
-// closure, evidence application, ordering, and elimination are all redone
-// per call. It exists for differential testing and benchmarking against
-// compiled plans; production callers use Probability.
-func (n *Network) ProbabilityUncompiled(evt Event) (float64, error) {
-	return n.probabilityUncompiled(context.Background(), evt, MinFill, Budget{})
-}
-
-// ProbabilityUncompiledOrd is ProbabilityUncompiled with an explicit
-// ordering heuristic.
-func (n *Network) ProbabilityUncompiledOrd(evt Event, ord ElimOrder) (float64, error) {
-	return n.probabilityUncompiled(context.Background(), evt, ord, Budget{})
-}
-
-// ProbabilityUncompiledBudget is ProbabilityBudget through the plan-free
-// path.
+// ProbabilityUncompiledBudget is ProbabilityBudget forced through the
+// plan-free path: closure, evidence application, ordering, and elimination
+// are all redone per call. It exists as the reference the compiled plans
+// are tested against; production callers use ProbabilityBudget.
 func (n *Network) ProbabilityUncompiledBudget(ctx context.Context, evt Event, b Budget) (float64, error) {
-	return n.probabilityUncompiled(ctx, evt, MinFill, b)
+	return n.probabilityUncompiled(ctx, evt, b)
 }
 
 // probability answers P(evt) through a compiled plan: the structural work
@@ -128,14 +84,14 @@ func (n *Network) ProbabilityUncompiledBudget(ctx context.Context, evt Event, b 
 // kernels in pooled buffers. Results are bit-for-bit identical to
 // probabilityUncompiled — the plan replays the same floating-point
 // operations in the same order.
-func (n *Network) probability(ctx context.Context, evt Event, ord ElimOrder, budget Budget) (float64, error) {
+func (n *Network) probability(ctx context.Context, evt Event, budget Budget) (float64, error) {
 	if err := n.validateEvent(evt); err != nil || len(evt) == 0 {
 		if err != nil {
 			return 0, err
 		}
 		return 1, nil
 	}
-	plan, hit := n.planFor(evt, ord)
+	plan, hit := n.planFor(evt)
 	return n.runPlan(ctx, plan, evt, budget, hit)
 }
 
@@ -156,7 +112,7 @@ func (n *Network) validateEvent(evt Event) error {
 	return nil
 }
 
-func (n *Network) probabilityUncompiled(ctx context.Context, evt Event, ord ElimOrder, budget Budget) (float64, error) {
+func (n *Network) probabilityUncompiled(ctx context.Context, evt Event, budget Budget) (float64, error) {
 	if len(evt) == 0 {
 		return 1, nil
 	}
@@ -207,7 +163,7 @@ func (n *Network) probabilityUncompiled(ctx context.Context, evt Event, ord Elim
 		sp.End()
 		return 0, err
 	}
-	order := n.eliminationOrder(elim, factors, ord)
+	order := minFillOrder(elim, factors, n)
 	var stats elimStats
 	var g *guard
 	if budget.Enabled() {
@@ -238,7 +194,6 @@ func (n *Network) probabilityUncompiled(ctx context.Context, evt Event, ord Elim
 			obs.Int("eliminated", len(order)),
 			obs.Int("products", stats.products),
 			obs.Int("max_cells", stats.maxCells),
-			obs.Str("order", ord.String()),
 		)
 		sp.End()
 	}
@@ -281,31 +236,6 @@ func (n *Network) ancestralClosure(evt Event) []int {
 	}
 	sort.Ints(out)
 	return out
-}
-
-// eliminationOrder produces the order in which every variable of the
-// closure is summed out.
-func (n *Network) eliminationOrder(closure []int, factors []*factor.Factor, ord ElimOrder) []int {
-	switch ord {
-	case ReverseTopo:
-		topo, err := n.TopoOrder()
-		if err != nil {
-			panic(err)
-		}
-		inClosure := make(map[int]bool, len(closure))
-		for _, v := range closure {
-			inClosure[v] = true
-		}
-		out := make([]int, 0, len(closure))
-		for i := len(topo) - 1; i >= 0; i-- {
-			if inClosure[topo[i]] {
-				out = append(out, topo[i])
-			}
-		}
-		return out
-	default:
-		return minFillOrder(closure, factors, n)
-	}
 }
 
 // minFillOrder greedily orders closure by fewest fill-in edges in the
@@ -452,41 +382,4 @@ func eliminate(factors []*factor.Factor, v int, stats *elimStats, g *guard) ([]*
 		out = append(out, prod.SumOut(v))
 	}
 	return out, nil
-}
-
-// Marginal returns the (normalized) joint marginal over the given
-// variables, computed by eliminating everything else from the ancestral
-// closure.
-func (n *Network) Marginal(vars []int) (*factor.Factor, error) {
-	evt := make(Event, len(vars))
-	for _, v := range vars {
-		all := make([]int32, n.vars[v].Card)
-		for i := range all {
-			all[i] = int32(i)
-		}
-		evt[v] = all
-	}
-	closure := n.ancestralClosure(evt)
-	factors := make([]*factor.Factor, 0, len(closure))
-	for _, v := range closure {
-		factors = append(factors, n.cpdFactor(v))
-	}
-	keep := make(map[int]bool, len(vars))
-	for _, v := range vars {
-		keep[v] = true
-	}
-	elim := make([]int, 0, len(closure))
-	for _, v := range closure {
-		if !keep[v] {
-			elim = append(elim, v)
-		}
-	}
-	for _, v := range minFillOrder(elim, factors, n) {
-		factors, _ = eliminate(factors, v, nil, nil)
-	}
-	result := factor.Scalar(1)
-	for _, f := range factors {
-		result = factor.Product(result, f)
-	}
-	return result.Normalize(), nil
 }

@@ -28,8 +28,8 @@ import (
 // additionally discards whole networks on RefitParameters/hot-swap.
 
 // defaultPlanCacheCap bounds the per-network plan LRU. Shapes are few —
-// one per distinct (predicate set, ordering heuristic) — so this is
-// generous; it exists to bound adversarial workloads, not normal ones.
+// one per distinct predicate set — so this is generous; it exists to
+// bound adversarial workloads, not normal ones.
 const defaultPlanCacheCap = 256
 
 // srcRef locates one operand table at execution time: a shared memoized
@@ -143,7 +143,6 @@ type Plan struct {
 	eliminated int
 	products   int
 	maxCells   int
-	ord        ElimOrder
 }
 
 // regionAlloc assigns slab regions during compilation, recycling a
@@ -177,18 +176,17 @@ func (a *regionAlloc) release(r srcRef) {
 	a.free[size] = append(a.free[size], r.region)
 }
 
-// planShapeKey renders the shape of an event — which variables carry
-// equality ('=') vs. set ('~') evidence — plus the ordering heuristic.
-// Constants are deliberately absent: all queries of one shape share a plan.
-func planShapeKey(evt Event, ord ElimOrder) string {
+// planShapeKey renders the shape of an event: which variables carry
+// equality ('=') vs. set ('~') evidence. Constants are deliberately
+// absent: all queries of one shape share a plan.
+func planShapeKey(evt Event) string {
 	ids := make([]int, 0, len(evt))
 	for v := range evt {
 		ids = append(ids, v)
 	}
 	sort.Ints(ids)
 	var b strings.Builder
-	b.Grow(2 + len(ids)*8)
-	b.WriteByte(byte('0' + int(ord)))
+	b.Grow(len(ids) * 8)
 	var buf [20]byte
 	for _, v := range ids {
 		b.WriteByte(';')
@@ -373,9 +371,9 @@ func (n *Network) InvalidatePlans() {
 
 // planFor returns the compiled plan for evt's shape, compiling on first
 // use, and reports whether the cache already held it.
-func (n *Network) planFor(evt Event, ord ElimOrder) (*Plan, bool) {
-	e, hit := n.plans.lookup(planShapeKey(evt, ord))
-	e.once.Do(func() { e.plan = n.compilePlan(evt, ord) })
+func (n *Network) planFor(evt Event) (*Plan, bool) {
+	e, hit := n.plans.lookup(planShapeKey(evt))
+	e.once.Do(func() { e.plan = n.compilePlan(evt) })
 	return e.plan, hit
 }
 
@@ -387,11 +385,11 @@ func (n *Network) planFor(evt Event, ord ElimOrder) (*Plan, bool) {
 // eliminate(). Only shapes are consulted — never evt's values — so the
 // plan serves every query of the shape, and the arithmetic performed is
 // identical to the uncompiled path's, making results bit-for-bit equal.
-func (n *Network) compilePlan(evt Event, ord ElimOrder) *Plan {
+func (n *Network) compilePlan(evt Event) *Plan {
 	closure := n.ancestralClosure(evt)
 	fixedSet := make(map[int]bool, len(evt))
 	restrictedIdx := make(map[int]int, len(evt))
-	p := &Plan{closure: len(closure), ord: ord}
+	p := &Plan{closure: len(closure)}
 	for v, set := range evt {
 		if len(set) == 1 {
 			fixedSet[v] = true
@@ -546,7 +544,7 @@ func (n *Network) compilePlan(evt Event, ord ElimOrder) *Plan {
 	for _, s := range syms {
 		headers = append(headers, &factor.Factor{Vars: s.vars, Card: s.cards})
 	}
-	order := n.eliminationOrder(elim, headers, ord)
+	order := minFillOrder(elim, headers, n)
 	p.eliminated = len(order)
 
 	// Symbolic eliminate(): same list order, same left-fold of products,
@@ -745,7 +743,6 @@ func (n *Network) runPlan(ctx context.Context, plan *Plan, evt Event, budget Bud
 			obs.Int("eliminated", plan.eliminated),
 			obs.Int("products", plan.products),
 			obs.Int("max_cells", plan.maxCells),
-			obs.Str("order", plan.ord.String()),
 			obs.Bool("plan_hit", hit),
 		)
 		sp.End()

@@ -38,27 +38,26 @@ func randomEvent(rng *rand.Rand, net *Network) Event {
 
 // TestPlanDifferentialRandom is the plan-cache correctness contract: across
 // random networks, shapes, and evidence, the compiled path must agree with
-// the plan-free path within 1e-12 — and because a plan replays the exact
-// operation sequence, the agreement is in fact bitwise.
+// the plan-free path bit for bit, because a plan replays the exact
+// operation sequence.
 func TestPlanDifferentialRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
+	ctx := context.Background()
 	for netTrial := 0; netTrial < 8; netTrial++ {
 		net := randomNet(rng, 4+rng.Intn(5))
-		for _, ord := range []ElimOrder{MinFill, ReverseTopo} {
-			for trial := 0; trial < 40; trial++ {
-				evt := randomEvent(rng, net)
-				want, err := net.ProbabilityUncompiledOrd(evt, ord)
-				if err != nil {
-					t.Fatalf("uncompiled: %v", err)
-				}
-				got, err := net.ProbabilityOrd(evt, ord)
-				if err != nil {
-					t.Fatalf("compiled: %v", err)
-				}
-				if got != want {
-					t.Fatalf("net %d ord %v evt %v: compiled %v, uncompiled %v (diff %g)",
-						netTrial, ord, evt, got, want, got-want)
-				}
+		for trial := 0; trial < 80; trial++ {
+			evt := randomEvent(rng, net)
+			want, err := net.ProbabilityUncompiledBudget(ctx, evt, Budget{})
+			if err != nil {
+				t.Fatalf("uncompiled: %v", err)
+			}
+			got, err := net.Probability(evt)
+			if err != nil {
+				t.Fatalf("compiled: %v", err)
+			}
+			if got != want {
+				t.Fatalf("net %d evt %v: compiled %v, uncompiled %v (diff %g)",
+					netTrial, evt, got, want, got-want)
 			}
 		}
 	}
@@ -161,7 +160,7 @@ func TestPlanCancelParity(t *testing.T) {
 	evt := Event{5: []int32{0, 1}}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := net.ProbabilityCtx(ctx, evt)
+	_, err := net.ProbabilityBudget(ctx, evt, Budget{})
 	if err == nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("compiled run under cancelled ctx: %v, want context.Canceled", err)
 	}

@@ -126,24 +126,20 @@ func TestCodecRoundTripsBinarySplits(t *testing.T) {
 	}
 }
 
+// TestMarginal reads marginals off Probability: the Income marginal must
+// match Fig 1(c), and the (Education, HomeOwner) joint must match the full
+// joint summed over Income.
 func TestMarginal(t *testing.T) {
 	net := fig1Net(t)
-	// Marginal over Income must match Fig 1(c): 0.47, 0.30, 0.23.
-	m, err := net.Marginal([]int{1})
-	if err != nil {
-		t.Fatal(err)
-	}
 	want := []float64{0.47, 0.30, 0.23}
 	for i, w := range want {
-		if math.Abs(m.At([]int32{int32(i)})-w) > 1e-12 {
-			t.Errorf("P(I=%d) = %v, want %v", i, m.At([]int32{int32(i)}), w)
+		p, err := net.Probability(Event{1: {int32(i)}})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// Joint marginal over (Education, HomeOwner): compare against the full
-	// joint summed over Income.
-	m2, err := net.Marginal([]int{0, 2})
-	if err != nil {
-		t.Fatal(err)
+		if math.Abs(p-w) > 1e-12 {
+			t.Errorf("P(I=%d) = %v, want %v", i, p, w)
+		}
 	}
 	joint := net.JointFactor()
 	for e := int32(0); e < 3; e++ {
@@ -152,7 +148,11 @@ func TestMarginal(t *testing.T) {
 			for i := int32(0); i < 3; i++ {
 				want += joint.At([]int32{e, i, h})
 			}
-			if got := m2.At([]int32{e, h}); math.Abs(got-want) > 1e-12 {
+			got, err := net.Probability(Event{0: {e}, 2: {h}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Abs(got-want) > 1e-12 {
 				t.Errorf("P(E=%d,H=%d) = %v, want %v", e, h, got, want)
 			}
 		}

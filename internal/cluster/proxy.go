@@ -338,7 +338,7 @@ func (g *Gate) try(r *http.Request, rep *Replica, body []byte) (*attemptResult, 
 // writeResult relays a buffered replica response, stamping which
 // replica answered.
 func (g *Gate) writeResult(w http.ResponseWriter, res *attemptResult) {
-	for _, h := range []string{"Content-Type", "Retry-After", genHeader, modelHeader, "X-Trace-Id", "X-PRM-Trace"} {
+	for _, h := range []string{"Content-Type", "Retry-After", genHeader, modelHeader, "X-PRM-Trace"} {
 		if v := res.header.Get(h); v != "" {
 			w.Header().Set(h, v)
 		}

@@ -328,22 +328,6 @@ func (f *Factor) Fix(v int, val int32) *Factor {
 	return out
 }
 
-// Normalize scales f so its entries sum to 1; a zero factor is left
-// unchanged. It returns f for chaining.
-func (f *Factor) Normalize() *Factor {
-	var sum float64
-	for _, v := range f.Data {
-		sum += v
-	}
-	if sum > 0 {
-		inv := 1 / sum
-		for i := range f.Data {
-			f.Data[i] *= inv
-		}
-	}
-	return f
-}
-
 // Sum returns the total mass of f.
 func (f *Factor) Sum() float64 {
 	var sum float64

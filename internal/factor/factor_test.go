@@ -205,22 +205,6 @@ func TestRestrictThenSumEqualsSubsetMass(t *testing.T) {
 	}
 }
 
-func TestNormalize(t *testing.T) {
-	f := New([]int{0}, []int{4})
-	for i := range f.Data {
-		f.Data[i] = float64(i)
-	}
-	f.Normalize()
-	if math.Abs(f.Sum()-1) > 1e-12 {
-		t.Fatalf("normalized sum = %v, want 1", f.Sum())
-	}
-	zero := New([]int{0}, []int{3})
-	zero.Normalize() // must not panic or produce NaN
-	if zero.Sum() != 0 {
-		t.Fatalf("zero factor changed by Normalize")
-	}
-}
-
 func TestScalarProduct(t *testing.T) {
 	f := New([]int{1}, []int{2})
 	f.Data[0], f.Data[1] = 0.25, 0.75

@@ -109,27 +109,13 @@ func SumOutInto(out, src []float64, inner, card int) {
 	}
 }
 
-// FixInto clamps the dimension with the given inner stride and cardinality
-// to val, copying the selected slab of src into out
-// (len(out) = len(src)/card). This is the fused restrict-for-equality-
-// evidence kernel: it matches Fix exactly but performs no allocation.
-func FixInto(out, src []float64, inner, card int, val int32) {
-	outer := len(src) / (inner * card)
-	pos := 0
-	for o := 0; o < outer; o++ {
-		base := (o*card + int(val)) * inner
-		copy(out[pos:pos+inner], src[base:base+inner])
-		pos += inner
-	}
-}
-
 // GatherInto copies the elements of src surviving a whole chain of Fixes
 // into out in one pass: blockOffs lists the evidence-independent source
 // offset of each blockLen-long contiguous run, and base shifts them all by
-// the evidence values' combined offset. Chaining FixInto once per clamped
+// the evidence values' combined offset. Chaining Fix once per clamped
 // dimension copies the same surviving elements through len(chain)-1
 // intermediate tables; the gather is the chain's fused form and produces
-// byte-identical output.
+// byte-identical output, without allocating.
 func GatherInto(out, src []float64, base, blockLen int, blockOffs []int) {
 	pos := 0
 	for _, off := range blockOffs {

@@ -62,29 +62,6 @@ func TestSumOutIntoMatchesSumOut(t *testing.T) {
 	}
 }
 
-func TestFixIntoMatchesFix(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	vars := []int{1, 3, 9}
-	cards := []int{2, 3, 2}
-	f := randFactor(rng, vars, cards)
-	for k, v := range vars {
-		for val := 0; val < cards[k]; val++ {
-			want := f.Fix(v, int32(val))
-			inner := 1
-			for i := 0; i < k; i++ {
-				inner *= cards[i]
-			}
-			out := make([]float64, len(want.Data))
-			FixInto(out, f.Data, inner, cards[k], int32(val))
-			for i := range out {
-				if out[i] != want.Data[i] {
-					t.Fatalf("dim %d val %d: FixInto[%d] = %v, Fix = %v", k, val, i, out[i], want.Data[i])
-				}
-			}
-		}
-	}
-}
-
 // TestGatherIntoMatchesFixChain fixes a random subset of dimensions by
 // chained Fix calls and by one fused gather, requiring bitwise equality —
 // the invariant that lets compiled plans collapse a factor's whole Fix
@@ -218,11 +195,16 @@ func TestKernelAllocs(t *testing.T) {
 	reduced := make([]float64, 3*4)
 	odo := make([]int32, 3)
 	accept := map[int32]bool{0: true, 2: true}
+	// Fixing the innermost dimension (card 4) leaves 12 one-float blocks.
+	blockOffs := make([]int, 12)
+	for i := range blockOffs {
+		blockOffs[i] = 4 * i
+	}
 
 	if n := testing.AllocsPerRun(100, func() {
 		ProductInto(out, outCards, f.Data, g.Data, lStride, rStride, odo)
 		SumOutInto(reduced, out, 1, 4)
-		FixInto(reduced, out, 1, 4, 2)
+		GatherInto(reduced, out, 2, 1, blockOffs)
 		RestrictInPlace(out, 1, 4, accept)
 	}); n != 0 {
 		t.Fatalf("kernels allocate %v times per run, want 0", n)

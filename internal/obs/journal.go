@@ -239,8 +239,9 @@ func (j *Journal) Stats() JournalStats {
 	}
 }
 
-// TraceID renders a journal id in the fixed 16-hex-digit form used by
-// the X-PRM-Trace header, request logs, and exemplars.
+// TraceID renders a journal id in the fixed 16-hex-digit form shared by
+// the X-PRM-Trace response header (the only trace header; the gate relays
+// it), the request log's trace_id, journal events, and exemplars.
 func TraceID(id uint64) string {
 	const hexdigits = "0123456789abcdef"
 	var b [16]byte

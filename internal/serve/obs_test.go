@@ -189,7 +189,7 @@ func (b *lockedBuf) String() string {
 	return b.buf.String()
 }
 
-// TestRequestLogging: every request gets an X-Trace-Id header and one
+// TestRequestLogging: every request gets an X-PRM-Trace header and one
 // structured log record carrying the same id.
 func TestRequestLogging(t *testing.T) {
 	var buf lockedBuf
@@ -207,9 +207,12 @@ func TestRequestLogging(t *testing.T) {
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
-	id := resp.Header.Get("X-Trace-Id")
+	id := resp.Header.Get("X-PRM-Trace")
 	if len(id) != 16 {
-		t.Fatalf("X-Trace-Id = %q, want 16 hex chars", id)
+		t.Fatalf("X-PRM-Trace = %q, want 16 hex chars", id)
+	}
+	if got := resp.Header.Get("X-Trace-Id"); got != "" {
+		t.Fatalf("X-Trace-Id = %q, want no such header", got)
 	}
 
 	// The log record is written after the response body; poll briefly.

@@ -313,8 +313,8 @@ func (s *Server) withDeadline(h http.HandlerFunc) http.HandlerFunc {
 }
 
 // logging assigns every request a trace id — the journal's event id,
-// echoed in the X-Trace-Id and X-PRM-Trace response headers and stamped
-// on the structured log record, so a log line, a journal entry, and a
+// echoed in the X-PRM-Trace response header and stamped on the
+// structured log record, so a log line, a journal entry, and a
 // histogram exemplar join on one id. It logs every request's real status
 // and feeds the SLO engine's availability and latency objectives.
 func (s *Server) logging(next http.Handler) http.Handler {
@@ -322,7 +322,6 @@ func (s *Server) logging(next http.Handler) http.Handler {
 		started := time.Now()
 		id := s.journal.NextID()
 		tid := obs.TraceID(id)
-		w.Header().Set("X-Trace-Id", tid)
 		w.Header().Set("X-PRM-Trace", tid)
 		r = r.WithContext(context.WithValue(r.Context(), traceIDKey{}, id))
 		sw := &statusWriter{ResponseWriter: w}

@@ -298,12 +298,12 @@ func TestTraceJoin(t *testing.T) {
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
-	tid := resp.Header.Get("X-Trace-Id")
+	tid := resp.Header.Get("X-PRM-Trace")
 	if len(tid) != 16 {
-		t.Fatalf("X-Trace-Id = %q, want 16 hex chars", tid)
+		t.Fatalf("X-PRM-Trace = %q, want 16 hex chars", tid)
 	}
-	if got := resp.Header.Get("X-PRM-Trace"); got != tid {
-		t.Fatalf("X-PRM-Trace = %q, want %q (same id as X-Trace-Id)", got, tid)
+	if got := resp.Header.Get("X-Trace-Id"); got != "" {
+		t.Fatalf("X-Trace-Id = %q, want no such header", got)
 	}
 
 	// Journal entry under the same id, with the request's wide fields.
