@@ -1,7 +1,7 @@
 // Command prmserved runs the online selectivity-estimation service: it
 // learns one model per requested dataset, then serves concurrent estimate
 // requests over an HTTP JSON API with an inference cache, background
-// rebuilds with atomic hot-swap, and metrics at /debug/vars.
+// rebuilds with atomic hot-swap, and Prometheus metrics at /metrics.
 //
 //	prmserved -addr :8080 -datasets census,tb
 //	curl -s localhost:8080/v1/estimate -d '{"model":"census","query":"FROM Census c WHERE c.Sex = sex0"}'
@@ -40,7 +40,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "generator seed")
 	budget := flag.Int("budget", 4400, "model storage budget in bytes")
 	cacheCap := flag.Int("cache", 4096, "inference cache capacity (entries)")
-	timeout := flag.Duration("timeout", 10*time.Second, "per-request deadline on /v1/*, /healthz and /debug/vars; an estimate still running at it answers a structured 503")
+	timeout := flag.Duration("timeout", 10*time.Second, "per-request deadline on /v1/* and /healthz; an estimate still running at it answers a structured 503")
 	readTimeout := flag.Duration("read-timeout", 30*time.Second, "max time to read a full request, body included")
 	writeTimeout := flag.Duration("write-timeout", 30*time.Second, "max time to write a full response")
 	idleTimeout := flag.Duration("idle-timeout", 2*time.Minute, "max keep-alive idle time per connection")
@@ -185,7 +185,6 @@ func main() {
 		BrownoutTick:       *brownoutTick,
 		MemSoftLimit:       *memSoftLimit,
 	})
-	srv.Metrics().Publish()
 
 	// Full server-side timeouts, not just the header read: a client that
 	// trickles a body or never drains a response must not pin a

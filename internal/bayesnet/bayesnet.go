@@ -61,16 +61,6 @@ func (n *Network) NumVars() int { return len(n.vars) }
 // Var returns variable metadata for id v.
 func (n *Network) Var(v int) Variable { return n.vars[v] }
 
-// VarByName returns the id of the named variable, or -1.
-func (n *Network) VarByName(name string) int {
-	for i, v := range n.vars {
-		if v.Name == name {
-			return i
-		}
-	}
-	return -1
-}
-
 // Parents returns the parent ids of v (do not mutate).
 func (n *Network) Parents(v int) []int { return n.parents[v] }
 

@@ -2,6 +2,7 @@ package bayesnet
 
 import (
 	"fmt"
+	"math"
 
 	"prmsel/internal/factor"
 )
@@ -154,10 +155,13 @@ func (t *TableCPD) check(childCard int, parentCards []int) error {
 	}
 	want := childCard
 	for _, c := range parentCards {
+		if want > len(t.Dist) {
+			break // already too many; stop before the product can overflow
+		}
 		want *= c
 	}
 	if len(t.Dist) != want {
-		return fmt.Errorf("table CPD has %d entries, want %d", len(t.Dist), want)
+		return fmt.Errorf("table CPD has %d entries for child card %d and parent cards %v", len(t.Dist), childCard, parentCards)
 	}
 	return nil
 }
@@ -400,4 +404,106 @@ func (t *TreeCPD) check(childCard int, parentCards []int) error {
 		}
 	})
 	return err
+}
+
+// maxCard bounds the cardinality CheckCPD accepts: domains in this system
+// are value codes of small categorical attributes, so anything larger is a
+// corrupt or adversarial model, and admitting it would let inference
+// materialize factors of that size.
+const maxCard = 1 << 20
+
+// distTolerance is the allowed |sum-1| of a stored distribution: loose
+// enough for float accumulation across learning and encoding, tight enough
+// to catch rows that were never normalized.
+const distTolerance = 1e-6
+
+// CheckCPD reports whether c can serve as the CPD of a variable with
+// cardinality childCard whose parents have cardinalities parentCards:
+// every cardinality in [1, 2^20]; a tree well formed and at most 64 levels
+// deep; a shape that matches the variable and its parents; and every
+// distribution finite, non-negative and summing to 1 within 1e-6.
+// Decoders of model bytes run it on each variable, so a corrupt or
+// adversarial model is rejected before inference could panic on it or
+// return counts from rows that are not distributions.
+func CheckCPD(c CPD, childCard int, parentCards []int) error {
+	for _, card := range append([]int{childCard}, parentCards...) {
+		if card < 1 || card > maxCard {
+			return fmt.Errorf("cardinality %d outside [1, %d]", card, maxCard)
+		}
+	}
+	switch c := c.(type) {
+	case *TableCPD:
+		if c == nil {
+			return fmt.Errorf("nil table CPD")
+		}
+		if err := c.check(childCard, parentCards); err != nil {
+			return err
+		}
+		for base := 0; base < len(c.Dist); base += c.ChildCard {
+			if err := checkDist(c.Dist[base : base+c.ChildCard]); err != nil {
+				return err
+			}
+		}
+		return nil
+	case *TreeCPD:
+		if c == nil || c.Root == nil {
+			return fmt.Errorf("tree CPD has no root")
+		}
+		if err := checkTreeWellFormed(c.Root, 0); err != nil {
+			return err
+		}
+		if err := c.check(childCard, parentCards); err != nil {
+			return err
+		}
+		var err error
+		c.Walk(func(n *TreeNode) {
+			if err == nil && n.IsLeaf() {
+				err = checkDist(n.Dist)
+			}
+		})
+		return err
+	default: // the package defines no other CPD kind
+		return fmt.Errorf("no CPD")
+	}
+}
+
+// checkTreeWellFormed rejects tree shapes Walk and check would crash on:
+// nil children and interior vertices with no branches. Depth is bounded
+// so a pathologically deep tree cannot run the recursive walks away.
+func checkTreeWellFormed(n *TreeNode, depth int) error {
+	if depth > 64 {
+		return fmt.Errorf("tree CPD deeper than 64 levels")
+	}
+	if n.Dist != nil {
+		return nil
+	}
+	if len(n.Children) == 0 {
+		return fmt.Errorf("tree CPD interior vertex has no children")
+	}
+	for _, c := range n.Children {
+		if c == nil {
+			return fmt.Errorf("tree CPD has a nil child")
+		}
+		if err := checkTreeWellFormed(c, depth+1); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// checkDist verifies one stored distribution is a probability
+// distribution: inference quietly returns garbage, or non-finite
+// estimates, on rows that are not.
+func checkDist(dist []float64) error {
+	var sum float64
+	for _, p := range dist {
+		if math.IsNaN(p) || math.IsInf(p, 0) || p < 0 {
+			return fmt.Errorf("distribution entry %v is not a probability", p)
+		}
+		sum += p
+	}
+	if math.Abs(sum-1) > distTolerance {
+		return fmt.Errorf("distribution sums to %v, want 1", sum)
+	}
+	return nil
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"prmsel/internal/faults"
+	"prmsel/internal/httpretry"
 )
 
 // genHeader / replicaHeader mirror the serve package's header names;
@@ -351,9 +352,9 @@ func (g *Gate) writeResult(w http.ResponseWriter, res *attemptResult) {
 // sleepJittered pauses for d ±50%, bailing early if the request dies.
 func (g *Gate) sleepJittered(r *http.Request, d time.Duration) {
 	g.mu.Lock()
-	f := 0.5 + g.rng.Float64()
+	u := g.rng.Float64()
 	g.mu.Unlock()
-	t := time.NewTimer(time.Duration(f * float64(d)))
+	t := time.NewTimer(httpretry.Backoff(1, d, d, 0.5, u))
 	defer t.Stop()
 	select {
 	case <-t.C:

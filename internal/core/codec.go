@@ -4,6 +4,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"slices"
 
 	"prmsel/internal/bayesnet"
 )
@@ -46,34 +47,19 @@ func (m *PRM) Encode(w io.Writer) error {
 }
 
 // Decode reads a model previously written by Encode and validates it.
+// Every variable's parents must be in range and distinct, and its CPD
+// must pass bayesnet.CheckCPD; then Validate checks the structure. So
+// corrupt or adversarial bytes yield an error, never a model whose
+// estimates panic or come from rows that are not distributions.
 func Decode(r io.Reader) (*PRM, error) {
 	var dto prmDTO
 	if err := gob.NewDecoder(r).Decode(&dto); err != nil {
 		return nil, fmt.Errorf("core: decode: %w", err)
 	}
-	// Index-shaped fields must be proven in range before Validate walks
-	// them — a corrupt stream must fail with an error, never a panic.
+	// Index-shaped fields must be proven in range before anything indexes
+	// with them — a corrupt stream must fail with an error, never a panic.
 	if len(dto.Parents) != len(dto.Vars) {
 		return nil, fmt.Errorf("core: decode: %d parent sets for %d variables", len(dto.Parents), len(dto.Vars))
-	}
-	for id, v := range dto.Vars {
-		if v.Card <= 0 {
-			return nil, fmt.Errorf("core: decode: variable %s has non-positive cardinality %d", v.Name(), v.Card)
-		}
-		for _, p := range dto.Parents[id] {
-			if p < 0 || p >= len(dto.Vars) {
-				return nil, fmt.Errorf("core: decode: variable %s has out-of-range parent %d", v.Name(), p)
-			}
-		}
-	}
-	m := &PRM{
-		vars:    dto.Vars,
-		index:   make(map[string]int, len(dto.Vars)),
-		parents: dto.Parents,
-		strata:  dto.Strata,
-	}
-	for id, v := range dto.Vars {
-		m.index[v.Name()] = id
 	}
 	cpds := make([]bayesnet.CPD, len(dto.Vars))
 	for id, c := range dto.Tables {
@@ -88,11 +74,40 @@ func Decode(r io.Reader) (*PRM, error) {
 		}
 		cpds[id] = c
 	}
+	for id, v := range dto.Vars {
+		cards := make([]int, len(dto.Parents[id]))
+		for i, p := range dto.Parents[id] {
+			if p < 0 || p >= len(dto.Vars) {
+				return nil, fmt.Errorf("core: decode: variable %s has out-of-range parent %d", v.Name(), p)
+			}
+			if slices.Contains(dto.Parents[id][:i], p) {
+				return nil, fmt.Errorf("core: decode: variable %s has duplicate parent %s", v.Name(), dto.Vars[p].Name())
+			}
+			cards[i] = dto.Vars[p].Card
+		}
+		if err := bayesnet.CheckCPD(cpds[id], v.Card, cards); err != nil {
+			return nil, fmt.Errorf("core: decode: variable %s: %w", v.Name(), err)
+		}
+	}
 	tableSize := dto.TableSize
 	if tableSize == nil {
 		tableSize = make(map[string]int64)
 	}
-	m.epoch.Store(newParamEpoch(0, cpds, tableSize))
+	for t, n := range tableSize {
+		if n < 0 {
+			return nil, fmt.Errorf("core: decode: table %s has table size %d", t, n)
+		}
+	}
+	m := &PRM{
+		vars:    dto.Vars,
+		index:   make(map[string]int, len(dto.Vars)),
+		parents: dto.Parents,
+		strata:  dto.Strata,
+	}
+	for id, v := range dto.Vars {
+		m.index[v.Name()] = id
+	}
+	m.epoch.Store(newParamEpoch(cpds, tableSize))
 	if err := m.Validate(); err != nil {
 		return nil, fmt.Errorf("core: decode: %w", err)
 	}

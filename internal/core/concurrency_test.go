@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -99,6 +100,54 @@ func TestConcurrentEstimationDuringRefit(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for r := 0; r < 3; r++ {
+			next := db
+			if r%2 == 0 {
+				next = db2
+			}
+			if err := m.RefitParameters(next); err != nil {
+				errs <- err
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+}
+
+// TestConcurrentFallbackDuringRefit overlaps the degradation chain over
+// mixed query shapes with refits publishing fresh epochs; under -race this
+// is the regression test for the plan cache during a hot swap (plans
+// capture resolved CPD factors, so a refit must drop them and estimates
+// must never observe a half-written table).
+func TestConcurrentFallbackDuringRefit(t *testing.T) {
+	db := skewDB(t, 300, 1500, 26)
+	db2 := skewDB(t, 300, 1500, 27)
+	m := learnPRM(t, db, false)
+	qs := batchQueries()
+
+	var wg sync.WaitGroup
+	errs := make(chan error, 5)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < 10; r++ {
+				for _, q := range qs {
+					if _, err := m.EstimateCountFallback(context.Background(), q, EstimateOptions{}); err != nil {
+						errs <- err
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for r := 0; r < 4; r++ {
 			next := db
 			if r%2 == 0 {
 				next = db2

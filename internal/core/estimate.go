@@ -87,7 +87,7 @@ func (m *PRM) estimateGuarded(ctx context.Context, ep *paramEpoch, q *query.Quer
 
 // estimateCount evaluates one estimate against a fixed parameter epoch;
 // every internal caller passes the epoch it loaded at entry so an entire
-// request (including non-key-join sums and batch items) reads one
+// request (including non-key-join sums and every degradation tier) reads one
 // consistent set of parameters.
 func (m *PRM) estimateCount(ctx context.Context, ep *paramEpoch, q *query.Query, ev evalOpts) (float64, error) {
 	if len(q.NonKeyJoins) > 0 {

@@ -95,13 +95,9 @@ func (m *PRM) EstimateCountFallback(ctx context.Context, q *query.Query, opts Es
 	if err := ctx.Err(); err != nil {
 		return EstimateResult{}, fmt.Errorf("core: estimate interrupted: %w", err)
 	}
-	return m.estimateTiered(ctx, m.params(), q, opts)
-}
-
-// estimateTiered runs the degradation chain for one query against the
-// parameter epoch the caller loaded; EstimateBatch relies on this split to
-// load one epoch per batch so every item sees the same snapshot.
-func (m *PRM) estimateTiered(ctx context.Context, ep *paramEpoch, q *query.Query, opts EstimateOptions) (EstimateResult, error) {
+	// One epoch for every tier, so a degraded answer reads the same
+	// parameters the exact attempt did even across a concurrent refit.
+	ep := m.params()
 	samples := opts.ApproxSamples
 	if samples <= 0 {
 		samples = 4096

@@ -39,7 +39,7 @@ func Learn(db *dataset.Database, cfg Config) (*PRM, error) {
 	for _, tn := range db.TableNames() {
 		tableSize[tn] = int64(db.Table(tn).Len())
 	}
-	m.epoch.Store(newParamEpoch(0, cpds, tableSize))
+	m.epoch.Store(newParamEpoch(cpds, tableSize))
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}

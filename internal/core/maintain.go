@@ -49,8 +49,8 @@ func (m *PRM) RefitParameters(db *dataset.Database) error {
 }
 
 // cloneEpochLocked derives a private, mutable successor of cur: deep CPD
-// copies, a copied table-size map, a fresh (empty) shape cache, and the
-// next sequence number. Caller holds refitMu.
+// copies, a copied table-size map and a fresh (empty) shape cache.
+// Caller holds refitMu.
 func (m *PRM) cloneEpochLocked(cur *paramEpoch) *paramEpoch {
 	cpds := make([]bayesnet.CPD, len(cur.cpds))
 	for id, c := range cur.cpds {
@@ -60,7 +60,7 @@ func (m *PRM) cloneEpochLocked(cur *paramEpoch) *paramEpoch {
 	for tn, n := range cur.tableSize {
 		sizes[tn] = n
 	}
-	return newParamEpoch(cur.seq+1, cpds, sizes)
+	return newParamEpoch(cpds, sizes)
 }
 
 // LogLikelihood evaluates the model's log-likelihood (nats) on db under the

@@ -96,7 +96,6 @@ type PRM struct {
 // plan/shape-cache invalidation (the new epoch starts with an empty shape
 // map, and every evalModel it grows embeds the new CPDs).
 type paramEpoch struct {
-	seq  uint64
 	cpds []bayesnet.CPD
 	// tableSize records |R| per table at learning (or last refit) time.
 	tableSize map[string]int64
@@ -111,8 +110,8 @@ type paramEpoch struct {
 }
 
 // newParamEpoch assembles an epoch with an empty shape cache.
-func newParamEpoch(seq uint64, cpds []bayesnet.CPD, tableSize map[string]int64) *paramEpoch {
-	ep := &paramEpoch{seq: seq, cpds: cpds, tableSize: tableSize}
+func newParamEpoch(cpds []bayesnet.CPD, tableSize map[string]int64) *paramEpoch {
+	ep := &paramEpoch{cpds: cpds, tableSize: tableSize}
 	empty := make(map[string]*evalModel)
 	ep.shapes.Store(&empty)
 	return ep
@@ -163,11 +162,6 @@ func (m *PRM) CPD(id int) bayesnet.CPD { return m.params().cpds[id] }
 // TableSize returns |table| recorded at learning (or last refit) time.
 func (m *PRM) TableSize(table string) int64 { return m.params().tableSize[table] }
 
-// ParamSeq returns the current parameter epoch's sequence number; it
-// advances by one on every published refit. Callers can use it to detect
-// a parameter change between two reads.
-func (m *PRM) ParamSeq() uint64 { return m.params().seq }
-
 // StorageBytes returns the model's storage cost: CPD bytes plus one byte
 // per dependency edge (same accounting as bayesnet.Network).
 func (m *PRM) StorageBytes() int {
@@ -214,10 +208,11 @@ func (m *PRM) String() string {
 	return b.String()
 }
 
-// Validate checks structural invariants: CPDs present with matching shapes,
-// the attribute/join-parent coupling (a cross-table parent requires the
-// corresponding join indicator to precede it in the parent list), and
-// table stratification of cross-table edges.
+// Validate checks structural invariants: every variable has a CPD, a
+// cross-table parent comes with the join indicator of a foreign key
+// between the two tables, join indicators have only attribute parents
+// from their own two tables, and the dependency structure is acyclic.
+// Decode additionally checks each CPD's shape and distributions.
 func (m *PRM) Validate() error {
 	ep := m.params()
 	for id, v := range m.vars {

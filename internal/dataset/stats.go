@@ -38,17 +38,6 @@ func (c *Contingency) Total() int64 { return c.total }
 // Cells returns the number of non-zero cells.
 func (c *Contingency) Cells() int { return len(c.counts) }
 
-// ForEach visits every non-zero cell. The vals slice is reused across calls.
-func (c *Contingency) ForEach(fn func(vals []int32, n int64)) {
-	vals := make([]int32, len(c.Targets))
-	for k, n := range c.counts {
-		for i := range vals {
-			vals[i] = int32(k / c.strides[i] % uint64(c.Cards[i]))
-		}
-		fn(vals, n)
-	}
-}
-
 // CountIn returns the number of assignments whose target values fall in the
 // given accept sets (nil set = unconstrained). Used for range/IN queries.
 func (c *Contingency) CountIn(accept []map[int32]bool) int64 {

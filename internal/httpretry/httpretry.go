@@ -187,16 +187,26 @@ func (c *Client) delay(attempt int, retryAfter time.Duration) time.Duration {
 		}
 		return retryAfter
 	}
-	d := c.cfg.BaseDelay
-	for i := 1; i < attempt && d < c.cfg.MaxDelay; i++ {
+	c.mu.Lock()
+	u := c.rng.Float64()
+	c.mu.Unlock()
+	return Backoff(attempt, c.cfg.BaseDelay, c.cfg.MaxDelay, c.cfg.JitterFrac, u)
+}
+
+// Backoff is the jittered exponential delay before retrying after the
+// given 1-based failed attempt: base·2^(attempt-1), capped at maxDelay,
+// then moved by (2u-1)·frac of itself and floored at zero. u is a uniform
+// draw in [0, 1) from the caller's own source, so each caller keeps its
+// RNG, its lock and, given a seed, a reproducible delay sequence.
+func Backoff(attempt int, base, maxDelay time.Duration, frac, u float64) time.Duration {
+	d := base
+	for i := 1; i < attempt && d < maxDelay; i++ {
 		d *= 2
 	}
-	if d > c.cfg.MaxDelay {
-		d = c.cfg.MaxDelay
+	if d > maxDelay {
+		d = maxDelay
 	}
-	c.mu.Lock()
-	d += time.Duration((c.rng.Float64()*2 - 1) * c.cfg.JitterFrac * float64(d))
-	c.mu.Unlock()
+	d += time.Duration((u*2 - 1) * frac * float64(d))
 	if d < 0 {
 		d = 0
 	}

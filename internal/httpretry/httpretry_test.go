@@ -158,3 +158,28 @@ func TestContextCancelsBackoff(t *testing.T) {
 		t.Fatalf("cancellation took %v; the backoff sleep ignored the context", d)
 	}
 }
+
+// TestBackoff pins the shared delay formula: base doubled per failed
+// attempt up to maxDelay, then moved by (2u-1)·frac of itself, never negative.
+// The gate's one-attempt pause with frac 0.5 is d·(0.5+u).
+func TestBackoff(t *testing.T) {
+	const ms = time.Millisecond
+	cases := []struct {
+		attempt        int
+		base, maxDelay time.Duration
+		frac, u        float64
+		want           time.Duration
+	}{
+		{1, 100 * ms, 2000 * ms, 0.2, 0.5, 100 * ms},
+		{3, 100 * ms, 2000 * ms, 0.2, 0.5, 400 * ms},
+		{9, 100 * ms, 2000 * ms, 0.2, 0.5, 2000 * ms},
+		{2, 100 * ms, 2000 * ms, 0.2, 0, 160 * ms},
+		{1, 40 * ms, 40 * ms, 0.5, 0.25, 30 * ms},
+		{1, 100 * ms, 100 * ms, 3, 0, 0},
+	}
+	for _, c := range cases {
+		if got := Backoff(c.attempt, c.base, c.maxDelay, c.frac, c.u); got != c.want {
+			t.Errorf("Backoff(%d, %v, %v, %v, %v) = %v, want %v", c.attempt, c.base, c.maxDelay, c.frac, c.u, got, c.want)
+		}
+	}
+}

@@ -1,7 +1,7 @@
 // Typed metrics registry: counters, gauges, and fixed-bucket histograms
 // that render as Prometheus text format (promtext.go). This is the layer
-// the serving stack's signals live on — the expvar snapshot and /metrics
-// read the same instruments, so the two views can never drift apart.
+// the serving stack's signals live on — /metrics and the in-process
+// snapshots read the same instruments, so the views can never drift apart.
 //
 // Design constraints, in order:
 //
@@ -12,9 +12,8 @@
 //  2. Registration is idempotent: asking for a family that already
 //     exists with the same type and label names returns the existing
 //     family, so any number of servers (tests build them freely) can
-//     share a registry without duplicate-name panics — the property the
-//     old expvar Publish-once workaround faked.
-//  3. Readers (the scrape path, the expvar snapshot) see a consistent
+//     share a registry without duplicate-name panics.
+//  3. Readers (the scrape path, in-process snapshots) see a consistent
 //     enough view without stopping writers: per-bucket counts are summed
 //     across shards at read time.
 package obs

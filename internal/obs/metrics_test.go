@@ -153,11 +153,3 @@ newline`).Add(3)
 		t.Errorf("OpenMetrics counter family should drop the _total suffix:\n%s", om)
 	}
 }
-
-// TestPublishExpvarIdempotent is in the serve package's tests via
-// Metrics.Publish; here we only check direct double-publication.
-func TestPublishExpvarIdempotent(t *testing.T) {
-	n := 0
-	PublishExpvar("obs_test_var", func() any { n++; return n })
-	PublishExpvar("obs_test_var", func() any { return "second wins" })
-}

@@ -15,10 +15,6 @@ import (
 	"prmsel/internal/store"
 )
 
-// ReplicaHeader names the replica that answered a gate-forwarded
-// request; the gate sets it, the server never does.
-const ReplicaHeader = "X-PRM-Replica"
-
 // ModelHeader carries the model name on snapshot transfers.
 const ModelHeader = "X-PRM-Model"
 

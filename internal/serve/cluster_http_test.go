@@ -12,6 +12,8 @@ import (
 	"testing"
 	"time"
 
+	"prmsel/internal/bayesnet"
+	"prmsel/internal/core"
 	"prmsel/internal/faults"
 	"prmsel/internal/store"
 )
@@ -239,6 +241,34 @@ func TestSnapshotLoadRejectsCorruption(t *testing.T) {
 	gen := rebuildTo(t, srcSrv)
 	frame, _ := fetchSnapshotFrame(t, src.URL)
 	genStr := strconv.FormatInt(gen, 10)
+	const incomeQuery = `{"query":"FROM People p WHERE p.Income = high"}`
+	_, before := postEstimate(t, dst.URL, incomeQuery)
+
+	// A valid frame around a model whose first Income distribution is ×5:
+	// the CRC holds, so only the decoder's CPD checks keep five-fold
+	// counts from being served as exact, 422.
+	payload, err := store.Payload(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad, err := core.Decode(bytes.NewReader(payload))
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaf := bad.CPD(bad.AttrVarID("People", "Income")).(*bayesnet.TreeCPD).Root
+	for !leaf.IsLeaf() {
+		leaf = leaf.Children[0]
+	}
+	for i := range leaf.Dist {
+		leaf.Dist[i] *= 5
+	}
+	var badPayload bytes.Buffer
+	if err := bad.Encode(&badPayload); err != nil {
+		t.Fatal(err)
+	}
+	if resp := postLoad(t, dst.URL, genStr, store.Frame(badPayload.Bytes())); resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Errorf("unnormalized-model load = %d, want 422", resp.StatusCode)
+	}
 
 	// A flipped payload bit: the CRC catches it, 422.
 	flipped := append([]byte(nil), frame...)
@@ -265,10 +295,14 @@ func TestSnapshotLoadRejectsCorruption(t *testing.T) {
 		t.Error("409 lacks the serving generation header")
 	}
 
-	// After every rejection the destination still serves generation 1.
-	_, eout := postEstimate(t, dst.URL, `{"query":"FROM People p WHERE p.Income = high"}`)
+	// After every rejection the destination still serves generation 1
+	// and its estimate.
+	_, eout := postEstimate(t, dst.URL, incomeQuery)
 	if g, _ := eout["generation"].(float64); int64(g) != 1 {
 		t.Errorf("destination generation after rejections = %v, want 1", eout["generation"])
+	}
+	if eout["estimate"] != before["estimate"] {
+		t.Errorf("destination estimate after rejections = %v, want %v", eout["estimate"], before["estimate"])
 	}
 }
 

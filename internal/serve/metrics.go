@@ -29,9 +29,9 @@ var latencyBoundsSeconds = func() []float64 {
 // deduplication, rebuilds, durability, the streaming write path, and the
 // estimation error observed on requests checked against the exact
 // executor. Every signal is a typed instrument on an obs.Registry, so
-// the same numbers surface three ways without drifting apart: the
-// Prometheus text at GET /metrics, the expvar snapshot at /debug/vars,
-// and the /healthz detail. All methods are safe for concurrent use.
+// the Prometheus text at GET /metrics and the in-process Snapshot read
+// the same numbers and cannot drift apart. All methods are safe for
+// concurrent use.
 type Metrics struct {
 	start time.Time
 	reg   *obs.Registry
@@ -378,9 +378,8 @@ func histMap(snap obs.HistSnapshot) map[string]int64 {
 	return out
 }
 
-// Snapshot renders every counter as a JSON-friendly map — the payload
-// behind the published expvar and the /healthz detail. It reads the same
-// instruments /metrics scrapes.
+// Snapshot renders every counter as a JSON-friendly map for in-process
+// readers. It reads the same instruments /metrics scrapes.
 func (m *Metrics) Snapshot() map[string]any {
 	uptime := time.Since(m.start).Seconds()
 	requests := m.requests.Value()
@@ -485,12 +484,4 @@ func fmt6(v int64) string {
 		v /= 10
 	}
 	return string(buf[i:])
-}
-
-// Publish exposes m as the expvar "prmserved", making it visible at
-// GET /debug/vars alongside the runtime's memstats. Safe to call any
-// number of times across any number of Metrics instances — idempotent
-// registration is the obs registry's job now; the last publish wins.
-func (m *Metrics) Publish() {
-	obs.PublishExpvar("prmserved", func() any { return m.Snapshot() })
 }

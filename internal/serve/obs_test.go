@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"expvar"
 	"io"
 	"log/slog"
 	"net/http"
@@ -239,37 +238,5 @@ func TestRequestLogging(t *testing.T) {
 	}
 	if rec["path"] != "/v1/estimate" || rec["status"].(float64) != 200 {
 		t.Errorf("unexpected log record: %v", rec)
-	}
-}
-
-// TestPublishTwoServers: Publish is safe to call from any number of
-// Metrics instances (expvar registers once) and /debug/vars reflects the
-// most recently published one.
-func TestPublishTwoServers(t *testing.T) {
-	m1 := NewMetrics()
-	m2 := NewMetrics()
-	m1.Publish()
-	m2.Publish() // must not panic on the duplicate name
-	m1.ObserveRequest(time.Millisecond)
-	m2.ObserveRequest(time.Millisecond)
-	m2.ObserveRequest(time.Millisecond)
-
-	v := expvar.Get("prmserved")
-	if v == nil {
-		t.Fatal("prmserved expvar not registered")
-	}
-	var snap map[string]any
-	if err := json.Unmarshal([]byte(v.String()), &snap); err != nil {
-		t.Fatalf("prmserved var not JSON: %v", err)
-	}
-	if got := snap["requests"].(float64); got != 2 {
-		t.Errorf("published snapshot reports %v requests, want m2's 2", got)
-	}
-
-	// Re-publishing the first swaps back.
-	m1.Publish()
-	json.Unmarshal([]byte(expvar.Get("prmserved").String()), &snap)
-	if got := snap["requests"].(float64); got != 1 {
-		t.Errorf("after republish, snapshot reports %v requests, want m1's 1", got)
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"prmsel/internal/dataset"
 	"prmsel/internal/eval"
 	"prmsel/internal/faults"
+	"prmsel/internal/httpretry"
 	"prmsel/internal/ingest"
 	"prmsel/internal/learn"
 	"prmsel/internal/resilience"
@@ -110,25 +111,6 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 		p.JitterFrac = 0.2
 	}
 	return p
-}
-
-// delay returns the backoff before retrying after the given 1-based failed
-// attempt: BaseDelay·2^(attempt-1), capped at MaxDelay, jittered.
-func (p RetryPolicy) delay(attempt int, rng *rand.Rand) time.Duration {
-	d := p.BaseDelay
-	for i := 1; i < attempt && d < p.MaxDelay; i++ {
-		d *= 2
-	}
-	if d > p.MaxDelay {
-		d = p.MaxDelay
-	}
-	if p.JitterFrac > 0 {
-		d += time.Duration((rng.Float64()*2 - 1) * p.JitterFrac * float64(d))
-	}
-	if d < 0 {
-		d = 0
-	}
-	return d
 }
 
 // ModelHealth is one model's serving-health snapshot, exposed through
@@ -691,7 +673,7 @@ func (m *Model) Rebuild(onDone func(*Snapshot, error), onAttempt ...func(attempt
 			}
 			if willRetry {
 				select {
-				case <-time.After(policy.delay(attempt, rng)):
+				case <-time.After(httpretry.Backoff(attempt, policy.BaseDelay, policy.MaxDelay, policy.JitterFrac, rng.Float64())):
 				case <-stop:
 					// Registry shutdown: abandon the cycle without
 					// marking the model degraded — it still serves its

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"io"
 	"log"
@@ -265,12 +264,9 @@ func (s *Server) Close() {
 // already in flight are unaffected. Idempotent.
 func (s *Server) StartDrain() { s.draining.Store(true) }
 
-// Draining reports whether StartDrain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Handler returns the service's HTTP handler, wrapped in structured
-// request logging. The versioned JSON API, health, and debug vars run
-// under the per-request deadline (Config.RequestTimeout); readiness,
+// request logging. The versioned JSON API and health run under the
+// per-request deadline (Config.RequestTimeout); readiness,
 // metrics, the request journal, and the pprof endpoints sit outside it (a
 // readiness probe must answer even when the request path is saturated, and
 // a 30-second CPU profile must not be killed by the deadline).
@@ -286,7 +282,6 @@ func (s *Server) Handler() http.Handler {
 	api("GET /v1/models/{name}/snapshot", s.handleSnapshotGet)
 	api("POST /v1/models/{name}/load", s.handleSnapshotLoad)
 	api("GET /healthz", s.handleHealthz)
-	api("GET /debug/vars", expvar.Handler().ServeHTTP)
 
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)

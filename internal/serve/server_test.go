@@ -393,9 +393,8 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
-func TestHealthzAndDebugVars(t *testing.T) {
-	srv, ts := newTestServer(t)
-	srv.Metrics().Publish()
+func TestHealthz(t *testing.T) {
+	_, ts := newTestServer(t)
 
 	resp, err := http.Get(ts.URL + "/healthz")
 	if err != nil {
@@ -408,31 +407,6 @@ func TestHealthzAndDebugVars(t *testing.T) {
 	}
 	if health["status"] != "ok" {
 		t.Errorf("healthz status = %v", health["status"])
-	}
-
-	// One request so the counters are non-zero, then read them back
-	// through the expvar endpoint.
-	postEstimate(t, ts.URL, `{"query":"FROM People p WHERE p.Income = medium"}`)
-	resp2, err := http.Get(ts.URL + "/debug/vars")
-	if err != nil {
-		t.Fatalf("GET /debug/vars: %v", err)
-	}
-	defer resp2.Body.Close()
-	raw, _ := io.ReadAll(resp2.Body)
-	var vars struct {
-		Prmserved map[string]any `json:"prmserved"`
-	}
-	if err := json.Unmarshal(raw, &vars); err != nil {
-		t.Fatalf("decode /debug/vars: %v", err)
-	}
-	if vars.Prmserved == nil {
-		t.Fatal("/debug/vars lacks the prmserved var")
-	}
-	if req, _ := vars.Prmserved["requests"].(float64); req < 1 {
-		t.Errorf("prmserved.requests = %v, want >= 1", vars.Prmserved["requests"])
-	}
-	if _, ok := vars.Prmserved["latency_us_buckets"]; !ok {
-		t.Errorf("prmserved metrics lack the latency histogram: %v", vars.Prmserved)
 	}
 }
 

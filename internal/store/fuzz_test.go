@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+
+	"prmsel/internal/core"
 )
 
 // FuzzPayload throws arbitrary bytes at the snapshot frame validator and
@@ -48,6 +50,6 @@ func FuzzPayload(f *testing.F) {
 		}
 		// Decoding may still fail (the checksum guards bit rot, not a
 		// malicious writer) — it just must not panic.
-		DecodeSnapshot(bytes.NewReader(data))
+		core.Decode(bytes.NewReader(payload))
 	})
 }

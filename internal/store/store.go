@@ -182,22 +182,6 @@ func Payload(b []byte) ([]byte, error) {
 	return payload, nil
 }
 
-// DecodeSnapshot reads one framed snapshot stream and returns the decoded,
-// validated model. It is the validation recovery applies to every
-// candidate file: frame integrity first, then the full core.Decode model
-// validation — an error, never a panic, on arbitrary bytes.
-func DecodeSnapshot(r io.Reader) (*core.PRM, error) {
-	b, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("store: read snapshot: %w", err)
-	}
-	payload, err := Payload(b)
-	if err != nil {
-		return nil, err
-	}
-	return core.Decode(bytes.NewReader(payload))
-}
-
 // Save durably persists one generation of the named model: encode writes
 // the core.Encode payload. The snapshot file lands first (temp + fsync +
 // rename + dir fsync), then the manifest flips to it, then generations

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"prmsel/internal/bayesnet"
 	"prmsel/internal/cliutil"
 	"prmsel/internal/core"
 	"prmsel/internal/eval"
@@ -179,6 +180,40 @@ func TestRecoverFallsBackAndQuarantines(t *testing.T) {
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Errorf("corrupt file still present under its durable name: %v", err)
+	}
+}
+
+// TestRecoverQuarantinesUnnormalizedModel: a frame whose checksum holds
+// but whose model has a CPD row that is not a distribution (each entry
+// ×5) is as corrupt as a flipped bit — recovery quarantines it and serves
+// the previous generation instead of five-fold counts.
+func TestRecoverQuarantinesUnnormalizedModel(t *testing.T) {
+	dir := t.TempDir()
+	st := mustOpen(t, dir, 3)
+	mustSave(t, st, "fig1", 1, testModel(t))
+	bad := testModel(t)
+	leaf := bad.CPD(0).(*bayesnet.TreeCPD).Root
+	for !leaf.IsLeaf() {
+		leaf = leaf.Children[0]
+	}
+	for i := range leaf.Dist {
+		leaf.Dist[i] *= 5
+	}
+	mustSave(t, st, "fig1", 2, bad)
+
+	rec, err := st.Recover("fig1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Generation != 1 {
+		t.Errorf("recovered generation = %d, want fallback to 1", rec.Generation)
+	}
+	path := filepath.Join(dir, snapName("fig1", 2))
+	if len(rec.Quarantined) != 1 || rec.Quarantined[0] != snapName("fig1", 2)+".corrupt" {
+		t.Errorf("quarantined = %v, want exactly generation 2", rec.Quarantined)
+	}
+	if _, err := os.Stat(path + ".corrupt"); err != nil {
+		t.Errorf("unnormalized model not quarantined: %v", err)
 	}
 }
 
