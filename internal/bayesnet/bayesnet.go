@@ -12,7 +12,6 @@ package bayesnet
 
 import (
 	"fmt"
-	"sync"
 
 	"prmsel/internal/factor"
 )
@@ -30,16 +29,9 @@ type Network struct {
 	vars    []Variable
 	parents [][]int
 	cpds    []CPD
-	// factors lazily memoizes cpdFactor: materializing a tree CPD walks
-	// every configuration, which would dominate repeated inference.
-	// SetParents/SetCPD invalidate the affected entry; mu makes the
-	// memoization safe under concurrent inference.
-	factors []*factor.Factor
-	mu      sync.Mutex
-	// plans caches compiled query plans by shape (see plan.go); it is
-	// dropped whenever structure or parameters change, since plans capture
-	// resolved CPD factors.
-	plans *planCache
+	// tables, when set, supplies each variable's expanded CPD (see
+	// SetTables); nil expands the CPD on every use.
+	tables func(v int) []float64
 }
 
 // New returns a network over the given variables with no edges and nil
@@ -49,11 +41,17 @@ func New(vars []Variable) *Network {
 		vars:    append([]Variable(nil), vars...),
 		parents: make([][]int, len(vars)),
 		cpds:    make([]CPD, len(vars)),
-		factors: make([]*factor.Factor, len(vars)),
-		plans:   newPlanCache(defaultPlanCacheCap),
 	}
 	return n
 }
+
+// SetTables makes inference read variable v's CPD table from table(v)
+// instead of expanding CPD(v) on each use. table(v) must hold the data
+// of CPDFactor over v and its parents — or over any ids that sort the
+// same way, so that many networks can share one table per CPD — and
+// stay unchanged while the network is in use. Call it after the last
+// SetParents/SetCPD.
+func (n *Network) SetTables(table func(v int) []float64) { n.tables = table }
 
 // NumVars returns the number of variables.
 func (n *Network) NumVars() int { return len(n.vars) }
@@ -67,10 +65,6 @@ func (n *Network) Parents(v int) []int { return n.parents[v] }
 // SetParents replaces v's parent set.
 func (n *Network) SetParents(v int, parents []int) {
 	n.parents[v] = append([]int(nil), parents...)
-	n.mu.Lock()
-	n.factors[v] = nil
-	n.mu.Unlock()
-	n.plans.invalidate()
 }
 
 // CPD returns v's conditional probability distribution.
@@ -79,10 +73,6 @@ func (n *Network) CPD(v int) CPD { return n.cpds[v] }
 // SetCPD installs v's CPD.
 func (n *Network) SetCPD(v int, c CPD) {
 	n.cpds[v] = c
-	n.mu.Lock()
-	n.factors[v] = nil
-	n.mu.Unlock()
-	n.plans.invalidate()
 }
 
 // ParentCards returns the cardinalities of v's parents, aligned with
@@ -172,17 +162,22 @@ func (n *Network) StorageBytes() int {
 	return total
 }
 
-// cpdFactor returns φ(v, Pa(v)) = P(v | Pa(v)) as a dense factor, memoized
-// per variable and safe for concurrent inference. Callers must not mutate
-// the result (inference operations all copy).
-func (n *Network) cpdFactor(v int) *factor.Factor {
-	n.mu.Lock()
-	f := n.factors[v]
-	if f == nil {
-		f = n.cpds[v].Factor(v, n.parents[v], n.vars[v].Card, n.ParentCards(v))
-		n.factors[v] = f
+// Factor returns φ(v, Pa(v)) = P(v | Pa(v)) as a dense factor: the table
+// inference reads, the shared one when SetTables supplied it. Callers
+// must not modify it.
+func (n *Network) Factor(v int) *factor.Factor {
+	if n.tables == nil {
+		return CPDFactor(n.cpds[v], v, n.parents[v], n.vars[v].Card, n.ParentCards(v))
 	}
-	n.mu.Unlock()
+	f := factor.Scope(append([]int{v}, n.parents[v]...), append([]int{n.vars[v].Card}, n.ParentCards(v)...))
+	f.Data = n.tables(v)
+	size := 1
+	for _, c := range f.Card {
+		size *= c
+	}
+	if len(f.Data) != size {
+		panic(fmt.Sprintf("bayesnet: table of %s has %d cells, want %d", n.vars[v].Name, len(f.Data), size))
+	}
 	return f
 }
 
@@ -195,7 +190,7 @@ func (n *Network) JointFactor() *factor.Factor {
 	}
 	joint := factor.Scalar(1)
 	for _, v := range order {
-		joint = factor.Product(joint, n.cpdFactor(v))
+		joint = factor.Product(joint, n.Factor(v))
 	}
 	return joint
 }

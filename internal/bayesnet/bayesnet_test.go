@@ -261,8 +261,8 @@ func TestTreeCPDEquivalentTable(t *testing.T) {
 			}
 		}
 	}
-	ftree := tree.Factor(5, []int{2}, 2, []int{3})
-	ftable := table.Factor(5, []int{2}, 2, []int{3})
+	ftree := CPDFactor(tree, 5, []int{2}, 2, []int{3})
+	ftable := CPDFactor(table, 5, []int{2}, 2, []int{3})
 	for i := range ftree.Data {
 		if math.Abs(ftree.Data[i]-ftable.Data[i]) > 1e-12 {
 			t.Fatalf("factors differ at %d", i)

@@ -5,13 +5,11 @@ import (
 	"testing"
 )
 
-// TestConcurrentInference fires goroutines at one network's compiled plans
-// at once. The first Probability call materializes memoized CPD factors
-// and compiles each shape's plan, so starting all goroutines together
-// exercises the memoization and the plan cache under contention; under
-// -race this is the regression test for the inference read path (plan
-// executions must not share mutable scratch between concurrent queries).
-// Every answer must equal the sequential one exactly.
+// TestConcurrentInference fires goroutines at one network at once. Each
+// Probability call expands the CPDs it reaches and compiles and runs a
+// plan, so under -race this is the regression test for the inference
+// read path (plan executions must not share mutable scratch between
+// concurrent queries). Every answer must equal the sequential one exactly.
 func TestConcurrentInference(t *testing.T) {
 	net := fig1Net(t)
 	events := []Event{

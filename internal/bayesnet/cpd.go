@@ -24,9 +24,6 @@ type CPD interface {
 	// Prob returns P(X = childVal | Parents = parentVals); parentVals align
 	// with the owning variable's parent list.
 	Prob(childVal int32, parentVals []int32) float64
-	// Factor materializes P(X | Pa) as a dense factor over the child and
-	// parent variable ids.
-	Factor(childID int, parentIDs []int, childCard int, parentCards []int) *factor.Factor
 	// NumParams returns the number of free parameters.
 	NumParams() int
 	// StorageBytes returns the storage cost under SizeAccounting.
@@ -99,37 +96,6 @@ func (t *TableCPD) Prob(childVal int32, parentVals []int32) float64 {
 	return t.Dist[t.Config(parentVals)*t.ChildCard+int(childVal)]
 }
 
-// Factor implements CPD.
-func (t *TableCPD) Factor(childID int, parentIDs []int, childCard int, parentCards []int) *factor.Factor {
-	vars := append([]int{childID}, parentIDs...)
-	cards := append([]int{childCard}, parentCards...)
-	f := factor.New(vars, cards)
-	assignment := make([]int32, len(vars)) // child first, then parents
-	aligned := make([]int32, len(vars))    // aligned with f.Vars
-	pos := make([]int, len(vars))          // position of vars[i] in f.Vars
-	for i, v := range vars {
-		for j, fv := range f.Vars {
-			if fv == v {
-				pos[i] = j
-			}
-		}
-	}
-	total := len(f.Data)
-	for c := 0; c < total; c++ {
-		// Decode c in the child-first mixed radix.
-		rem := c
-		for i := range vars {
-			assignment[i] = int32(rem % cards[i])
-			rem /= cards[i]
-		}
-		for i := range vars {
-			aligned[pos[i]] = assignment[i]
-		}
-		f.Set(aligned, t.Prob(assignment[0], assignment[1:]))
-	}
-	return f
-}
-
 // NumParams implements CPD.
 func (t *TableCPD) NumParams() int {
 	return len(t.Dist) / t.ChildCard * (t.ChildCard - 1)
@@ -180,6 +146,38 @@ func CloneCPD(c CPD) CPD {
 	default:
 		panic(fmt.Sprintf("bayesnet: CloneCPD: unsupported CPD kind %q", c.Kind()))
 	}
+}
+
+// CPDFactor expands c = P(child | parents) into a dense factor over the
+// child id and the parent ids; childCard and parentCards give their
+// cardinalities, parents in c's order. Every cell is one Prob call.
+func CPDFactor(c CPD, childID int, parentIDs []int, childCard int, parentCards []int) *factor.Factor {
+	vars := append([]int{childID}, parentIDs...)
+	cards := append([]int{childCard}, parentCards...)
+	f := factor.New(vars, cards)
+	assignment := make([]int32, len(vars)) // child first, then parents
+	aligned := make([]int32, len(vars))    // aligned with f.Vars
+	pos := make([]int, len(vars))          // position of vars[i] in f.Vars
+	for i, v := range vars {
+		for j, fv := range f.Vars {
+			if fv == v {
+				pos[i] = j
+			}
+		}
+	}
+	for cell := range f.Data {
+		// Decode cell in the child-first mixed radix.
+		rem := cell
+		for i := range vars {
+			assignment[i] = int32(rem % cards[i])
+			rem /= cards[i]
+		}
+		for i := range vars {
+			aligned[pos[i]] = assignment[i]
+		}
+		f.Set(aligned, c.Prob(assignment[0], assignment[1:]))
+	}
+	return f
 }
 
 // SplitOp is the predicate kind of an interior tree-CPD vertex.
@@ -295,36 +293,6 @@ func (t *TreeCPD) Prob(childVal int32, parentVals []int32) float64 {
 	return t.Leaf(parentVals).Dist[childVal]
 }
 
-// Factor implements CPD.
-func (t *TreeCPD) Factor(childID int, parentIDs []int, childCard int, parentCards []int) *factor.Factor {
-	// Reuse the table path: walk all configurations through the tree.
-	vars := append([]int{childID}, parentIDs...)
-	cards := append([]int{childCard}, parentCards...)
-	f := factor.New(vars, cards)
-	assignment := make([]int32, len(vars))
-	aligned := make([]int32, len(vars))
-	pos := make([]int, len(vars))
-	for i, v := range vars {
-		for j, fv := range f.Vars {
-			if fv == v {
-				pos[i] = j
-			}
-		}
-	}
-	for c := 0; c < len(f.Data); c++ {
-		rem := c
-		for i := range vars {
-			assignment[i] = int32(rem % cards[i])
-			rem /= cards[i]
-		}
-		for i := range vars {
-			aligned[pos[i]] = assignment[i]
-		}
-		f.Set(aligned, t.Prob(assignment[0], assignment[1:]))
-	}
-	return f
-}
-
 // Walk visits every node of the tree depth-first.
 func (t *TreeCPD) Walk(fn func(*TreeNode)) {
 	var rec func(*TreeNode)
@@ -412,6 +380,15 @@ func (t *TreeCPD) check(childCard int, parentCards []int) error {
 // materialize factors of that size.
 const maxCard = 1 << 20
 
+// maxCells bounds a CPD's dense size: the child's cardinality times the
+// product of its parents'. Inference expands every CPD it reaches into a
+// table of that many float64s, and a tree CPD stores no table whose
+// length would give a corrupt model away, so without this bound a few
+// parents within maxCard could demand more memory than any host has.
+// 1<<24 cells (128 MiB) is 14 times the largest served table,
+// Census.Income at 1,156,680 cells.
+const maxCells = 1 << 24
+
 // distTolerance is the allowed |sum-1| of a stored distribution: loose
 // enough for float accumulation across learning and encoding, tight enough
 // to catch rows that were never normalized.
@@ -419,9 +396,10 @@ const distTolerance = 1e-6
 
 // CheckCPD reports whether c can serve as the CPD of a variable with
 // cardinality childCard whose parents have cardinalities parentCards:
-// every cardinality in [1, 2^20]; a tree well formed and at most 64 levels
-// deep; a shape that matches the variable and its parents; and every
-// distribution finite, non-negative and summing to 1 within 1e-6.
+// every cardinality in [1, 2^20] and at most 2^24 cells once expanded; a
+// tree well formed and at most 64 levels deep; a shape that matches the
+// variable and its parents; and every distribution finite, non-negative
+// and summing to 1 within 1e-6.
 // Decoders of model bytes run it on each variable, so a corrupt or
 // adversarial model is rejected before inference could panic on it or
 // return counts from rows that are not distributions.
@@ -430,6 +408,13 @@ func CheckCPD(c CPD, childCard int, parentCards []int) error {
 		if card < 1 || card > maxCard {
 			return fmt.Errorf("cardinality %d outside [1, %d]", card, maxCard)
 		}
+	}
+	cells := childCard
+	for _, card := range parentCards {
+		if cells > maxCells/card { // cells*card > maxCells, without overflow
+			return fmt.Errorf("CPD expands to more than %d cells", maxCells)
+		}
+		cells *= card
 	}
 	switch c := c.(type) {
 	case *TableCPD:

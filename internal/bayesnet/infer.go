@@ -78,21 +78,16 @@ func (n *Network) ProbabilityUncompiledBudget(ctx context.Context, evt Event, b 
 	return n.probabilityUncompiled(ctx, evt, b)
 }
 
-// probability answers P(evt) through a compiled plan: the structural work
-// (closure, ordering, operation schedule) is looked up by query shape and
-// only the value-dependent arithmetic runs, through allocation-free
-// kernels in pooled buffers. Results are bit-for-bit identical to
-// probabilityUncompiled — the plan replays the same floating-point
-// operations in the same order.
+// probability answers P(evt) through a plan compiled for this one call.
+// Results are bit-for-bit identical to probabilityUncompiled — the plan
+// replays the same floating-point operations in the same order. Callers
+// that answer many events of one shape compile once (Compile) and keep
+// the plan.
 func (n *Network) probability(ctx context.Context, evt Event, budget Budget) (float64, error) {
-	if err := n.validateEvent(evt); err != nil || len(evt) == 0 {
-		if err != nil {
-			return 0, err
-		}
-		return 1, nil
+	if err := n.validateEvent(evt); err != nil {
+		return 0, err
 	}
-	plan, hit := n.planFor(evt)
-	return n.runPlan(ctx, plan, evt, budget, hit)
+	return n.Compile(evt).Probability(ctx, evt, budget)
 }
 
 func (n *Network) validateEvent(evt Event) error {
@@ -140,7 +135,7 @@ func (n *Network) probabilityUncompiled(ctx context.Context, evt Event, budget B
 	}
 	factors := make([]*factor.Factor, 0, len(closure))
 	for _, v := range closure {
-		f := n.cpdFactor(v)
+		f := n.Factor(v)
 		for _, u := range f.Vars {
 			if val, ok := fixed[u]; ok {
 				f = f.Fix(u, val)

@@ -3,11 +3,6 @@ package bayesnet
 import (
 	"context"
 	"fmt"
-	"sort"
-	"strconv"
-	"strings"
-	"sync"
-	"sync/atomic"
 
 	"prmsel/internal/factor"
 	"prmsel/internal/faults"
@@ -23,18 +18,13 @@ import (
 // allocation-free kernels in internal/factor, reading operands out of one
 // pooled slab. Results are bit-for-bit equal to the uncompiled path.
 //
-// Plans live in a per-network LRU keyed by shape and are dropped whenever
-// the structure or parameters change (SetParents/SetCPD); the core layer
-// additionally discards whole networks on RefitParameters/hot-swap.
+// A plan reads the CPD tables the network held when it was compiled; the
+// caller that keeps plans (core, one per query shape and parameter epoch)
+// drops them with the parameters.
 
-// defaultPlanCacheCap bounds the per-network plan LRU. Shapes are few —
-// one per distinct predicate set — so this is generous; it exists to
-// bound adversarial workloads, not normal ones.
-const defaultPlanCacheCap = 256
-
-// srcRef locates one operand table at execution time: a shared memoized
-// CPD factor (index into Plan.shared) or a region of the pooled slab
-// (index into Plan.regions). Exactly one index is >= 0.
+// srcRef locates one operand table at execution time: a CPD factor read
+// in place (index into Plan.shared) or a region of the pooled slab (index
+// into Plan.regions). Exactly one index is >= 0.
 type srcRef struct {
 	shared int
 	region int
@@ -176,216 +166,18 @@ func (a *regionAlloc) release(r srcRef) {
 	a.free[size] = append(a.free[size], r.region)
 }
 
-// planShapeKey renders the shape of an event: which variables carry
-// equality ('=') vs. set ('~') evidence. Constants are deliberately
-// absent: all queries of one shape share a plan.
-func planShapeKey(evt Event) string {
-	ids := make([]int, 0, len(evt))
-	for v := range evt {
-		ids = append(ids, v)
-	}
-	sort.Ints(ids)
-	var b strings.Builder
-	b.Grow(len(ids) * 8)
-	var buf [20]byte
-	for _, v := range ids {
-		b.WriteByte(';')
-		b.Write(strconv.AppendInt(buf[:0], int64(v), 10))
-		if len(evt[v]) == 1 {
-			b.WriteByte('=')
-		} else {
-			b.WriteByte('~')
-		}
-	}
-	return b.String()
-}
-
-// planEntry is one cache slot; once gives concurrent misses on the same
-// shape a single compilation (the losers wait and share the result). used
-// is the entry's CLOCK reference bit: hits set it, the eviction hand
-// clears it, entries found cleared are the victims.
-type planEntry struct {
-	key  string
-	once sync.Once
-	plan *Plan
-	used atomic.Bool
-}
-
-// planCache holds a network's compiled plans. The hit path is lock-free:
-// lookups read an immutable map through one atomic pointer load and bump
-// atomic counters, so concurrent executions of cached shapes never
-// serialize. Misses, capacity changes, and invalidation take mu, rebuild
-// the map copy-on-write, and republish it; eviction is CLOCK
-// (second-chance) over an insertion-ordered ring, which needs no
-// move-to-front bookkeeping on hits — the property that makes the
-// lock-free read map possible.
-type planCache struct {
-	hits   atomic.Uint64
-	misses atomic.Uint64
-	// read is the published lookup map. The map value is immutable;
-	// writers copy, mutate the copy, and Store.
-	read atomic.Pointer[map[string]*planEntry]
-
-	mu       sync.Mutex
-	capacity int
-	ring     []*planEntry // CLOCK ring in insertion order; guarded by mu
-	hand     int          // next eviction candidate; guarded by mu
-}
-
-func newPlanCache(capacity int) *planCache {
-	c := &planCache{capacity: capacity}
-	empty := make(map[string]*planEntry)
-	c.read.Store(&empty)
-	return c
-}
-
-// lookup returns the entry for key, creating it on miss, and reports
-// whether it already existed. Hits touch no lock. Compilation happens
-// outside the lock via the entry's once.
-func (c *planCache) lookup(key string) (*planEntry, bool) {
-	if e, ok := (*c.read.Load())[key]; ok {
-		c.hits.Add(1)
-		e.used.Store(true)
-		return e, true
-	}
-	c.mu.Lock()
-	cur := *c.read.Load()
-	if e, ok := cur[key]; ok {
-		// Lost a race with another miss on the same key.
-		c.mu.Unlock()
-		c.hits.Add(1)
-		e.used.Store(true)
-		return e, true
-	}
-	c.misses.Add(1)
-	e := &planEntry{key: key}
-	e.used.Store(true) // grace period: a brand-new plan survives one sweep
-	next := make(map[string]*planEntry, len(cur)+1)
-	for k, v := range cur {
-		next[k] = v
-	}
-	next[key] = e
-	if len(c.ring) < c.capacity {
-		c.ring = append(c.ring, e)
-	} else {
-		// CLOCK: clear reference bits until one is already clear; that
-		// entry is replaced in place, keeping the ring at capacity.
-		for {
-			v := c.ring[c.hand]
-			if !v.used.Swap(false) {
-				delete(next, v.key)
-				c.ring[c.hand] = e
-				c.hand = (c.hand + 1) % len(c.ring)
-				break
-			}
-			c.hand = (c.hand + 1) % len(c.ring)
-		}
-	}
-	c.read.Store(&next)
-	c.mu.Unlock()
-	return e, false
-}
-
-// setCapacity retunes the cache bound, evicting down to it immediately
-// with the same CLOCK sweep. capacity <= 0 restores the default.
-func (c *planCache) setCapacity(capacity int) {
-	if capacity <= 0 {
-		capacity = defaultPlanCacheCap
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.capacity = capacity
-	if len(c.ring) <= capacity {
-		return
-	}
-	cur := *c.read.Load()
-	next := make(map[string]*planEntry, capacity)
-	for k, v := range cur {
-		next[k] = v
-	}
-	for len(c.ring) > capacity {
-		v := c.ring[c.hand]
-		if v.used.Swap(false) {
-			c.hand = (c.hand + 1) % len(c.ring)
-			continue
-		}
-		delete(next, v.key)
-		c.ring = append(c.ring[:c.hand], c.ring[c.hand+1:]...)
-		if c.hand >= len(c.ring) && len(c.ring) > 0 {
-			c.hand = 0
-		}
-	}
-	c.read.Store(&next)
-}
-
-func (c *planCache) invalidate() {
-	c.mu.Lock()
-	empty := make(map[string]*planEntry)
-	c.read.Store(&empty)
-	c.ring = nil
-	c.hand = 0
-	c.mu.Unlock()
-}
-
-func (c *planCache) stats() PlanCacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return PlanCacheStats{
-		Hits:     c.hits.Load(),
-		Misses:   c.misses.Load(),
-		Entries:  len(*c.read.Load()),
-		Capacity: c.capacity,
-	}
-}
-
-// PlanCacheStats reports the plan cache's effectiveness. Hits and misses
-// are cumulative across invalidations; Entries is the current population.
-type PlanCacheStats struct {
-	Hits     uint64
-	Misses   uint64
-	Entries  int
-	Capacity int
-}
-
-// HitRate returns hits/(hits+misses), or 0 before any lookup.
-func (s PlanCacheStats) HitRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
-}
-
-// PlanStats returns the network's plan-cache counters.
-func (n *Network) PlanStats() PlanCacheStats { return n.plans.stats() }
-
-// SetPlanCapacity retunes the plan LRU bound (brownout control shrinks
-// it under memory pressure); <= 0 restores the default.
-func (n *Network) SetPlanCapacity(capacity int) { n.plans.setCapacity(capacity) }
-
-// InvalidatePlans drops every compiled plan. SetParents/SetCPD call this;
-// callers that mutate CPDs in place must call it themselves.
-func (n *Network) InvalidatePlans() {
-	n.plans.invalidate()
-}
-
-// planFor returns the compiled plan for evt's shape, compiling on first
-// use, and reports whether the cache already held it.
-func (n *Network) planFor(evt Event) (*Plan, bool) {
-	e, hit := n.plans.lookup(planShapeKey(evt))
-	e.once.Do(func() { e.plan = n.compilePlan(evt) })
-	return e.plan, hit
-}
-
-// compilePlan builds the static schedule for evt's shape by symbolically
-// executing the uncompiled path: the same closure, the same per-CPD
-// evidence reduction (with each Fix chain fused into one gather — element
-// selection and zeroing commute, so the fused data is byte-identical), the
-// same elimination order, and the same left-fold product order inside
+// Compile builds the plan of evt's shape — which variables carry equality
+// evidence and which carry set evidence — by symbolically executing the
+// uncompiled path: the same closure, the same per-CPD evidence reduction
+// (with each Fix chain fused into one gather — element selection and
+// zeroing commute, so the fused data is byte-identical), the same
+// elimination order, and the same left-fold product order inside
 // eliminate(). Only shapes are consulted — never evt's values — so the
-// plan serves every query of the shape, and the arithmetic performed is
-// identical to the uncompiled path's, making results bit-for-bit equal.
-func (n *Network) compilePlan(evt Event) *Plan {
+// plan serves every event of the shape (Plan.Probability), and the
+// arithmetic performed is identical to the uncompiled path's, making
+// results bit-for-bit equal. evt must name the network's variables, as
+// Probability checks; Compile does not.
+func (n *Network) Compile(evt Event) *Plan {
 	closure := n.ancestralClosure(evt)
 	fixedSet := make(map[int]bool, len(evt))
 	restrictedIdx := make(map[int]int, len(evt))
@@ -417,7 +209,7 @@ func (n *Network) compilePlan(evt Event) *Plan {
 	}
 	syms := make([]symFactor, 0, len(closure))
 	for _, v := range closure {
-		f := n.cpdFactor(v)
+		f := n.Factor(v)
 		sharedIdx := len(p.shared)
 		p.shared = append(p.shared, f)
 
@@ -619,11 +411,17 @@ func (n *Network) compilePlan(evt Event) *Plan {
 	return p
 }
 
-// runPlan executes a compiled plan against one event's values. Budgeted
-// runs pre-scan the schedule — every product's shape is a plan constant —
-// so an over-budget query is refused before any work or allocation, with
-// the same BudgetError and trace attributes the uncompiled guard produces.
-func (n *Network) runPlan(ctx context.Context, plan *Plan, evt Event, budget Budget, hit bool) (float64, error) {
+// Probability returns P(evt) by running the plan on evt's values, under
+// ctx and budget as ProbabilityBudget describes. evt must have the shape
+// the plan was compiled for, with values in their variables' domains; the
+// values are not checked again. Budgeted runs pre-scan the schedule —
+// every product's shape is a plan constant — so an over-budget query is
+// refused before any work or allocation, with the same BudgetError and
+// trace attributes the uncompiled guard produces.
+func (plan *Plan) Probability(ctx context.Context, evt Event, budget Budget) (float64, error) {
+	if len(evt) == 0 {
+		return 1, nil
+	}
 	_, sp := obs.Start(ctx, "infer")
 	if err := faults.Inject("bayesnet.infer"); err != nil {
 		sp.Set(obs.Str("injected", err.Error()))
@@ -743,7 +541,6 @@ func (n *Network) runPlan(ctx context.Context, plan *Plan, evt Event, budget Bud
 			obs.Int("eliminated", plan.eliminated),
 			obs.Int("products", plan.products),
 			obs.Int("max_cells", plan.maxCells),
-			obs.Bool("plan_hit", hit),
 		)
 		sp.End()
 	}

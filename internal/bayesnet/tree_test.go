@@ -46,7 +46,7 @@ func TestBinarySplitRouting(t *testing.T) {
 
 func TestBinarySplitFactorAgreesWithProb(t *testing.T) {
 	tree := binTree()
-	f := tree.Factor(0, []int{1, 2}, 2, []int{4, 3})
+	f := CPDFactor(tree, 0, []int{1, 2}, 2, []int{4, 3})
 	for p0 := int32(0); p0 < 4; p0++ {
 		for p1 := int32(0); p1 < 3; p1++ {
 			for x := int32(0); x < 2; x++ {

@@ -216,6 +216,9 @@ type Gate struct {
 	replicas []*Replica
 	byAddr   map[string]*Replica
 	ring     atomic.Pointer[Ring]
+	// ringMu orders each change to a replica's state or drain flag after
+	// the ring that reflects it (see publishRing).
+	ringMu   sync.Mutex
 	draining atomic.Bool
 	logf     func(format string, args ...any)
 
@@ -340,8 +343,8 @@ func (g *Gate) Close() {
 	g.wg.Wait()
 }
 
-// checkAll polls every replica in parallel and rebuilds the ring when
-// the eligible set changed.
+// checkAll polls every replica in parallel; each state change it finds
+// republishes the ring (setState).
 func (g *Gate) checkAll() {
 	var wg sync.WaitGroup
 	for _, rep := range g.replicas {
@@ -352,7 +355,6 @@ func (g *Gate) checkAll() {
 		}(rep)
 	}
 	wg.Wait()
-	g.rebuildRing()
 }
 
 // readyzBody is the replica's /readyz reply shape (mirrors serve's
@@ -431,7 +433,9 @@ func (g *Gate) noteCheck(rep *Replica, observed ReplicaState, reason string, gen
 		rep.consecOK, rep.consecFail = 0, 0
 		next = observed
 	}
-	rep.state.Store(int32(next))
+	if next != prev {
+		g.setState(rep, next)
+	}
 	rep.mu.Unlock()
 
 	result := "ok"
@@ -448,25 +452,44 @@ func (g *Gate) noteCheck(rep *Replica, observed ReplicaState, reason string, gen
 	}
 }
 
-// eligible lists replicas the ring should contain: healthy and not
-// operator-drained. Breaker state is deliberately not consulted here —
-// an open breaker skips the replica at selection time but keeps its
-// ring share, so a brief trip does not reshuffle the whole keyspace.
-func (g *Gate) eligible() []string {
-	out := make([]string, 0, len(g.replicas))
-	for _, rep := range g.replicas {
-		if rep.State() == StateHealthy && !rep.Drained() {
-			out = append(out, rep.Addr)
-		}
-	}
-	return out
+// setState stores rep's health state after publishing the ring it calls
+// for.
+func (g *Gate) setState(rep *Replica, st ReplicaState) {
+	g.ringMu.Lock()
+	defer g.ringMu.Unlock()
+	g.publishRing(rep, st, rep.Drained())
+	rep.state.Store(int32(st))
 }
 
-// rebuildRing swaps in a new ring when the eligible set changed.
-func (g *Gate) rebuildRing() {
-	want := g.eligible()
-	cur := g.ring.Load().Members()
-	if equalStrings(want, cur) {
+// setDrained stores rep's operator drain flag after publishing the ring
+// it calls for.
+func (g *Gate) setDrained(rep *Replica, drained bool) {
+	g.ringMu.Lock()
+	defer g.ringMu.Unlock()
+	g.publishRing(rep, rep.State(), drained)
+	rep.drained.Store(drained)
+}
+
+// publishRing swaps in a new ring when the eligible set changed, counting
+// rep as in state st with drain flag drained. Eligible replicas are
+// healthy and not operator-drained. Callers hold ringMu and store st or
+// drained only after it returns, so the ring never lags a change: a
+// reader that sees a replica down, draining or drained finds it gone from
+// the ring already. Breaker state is deliberately not consulted — an open
+// breaker skips the replica at selection time but keeps its ring share,
+// so a brief trip does not reshuffle the whole keyspace.
+func (g *Gate) publishRing(rep *Replica, st ReplicaState, drained bool) {
+	want := make([]string, 0, len(g.replicas))
+	for _, r := range g.replicas {
+		rs, rd := r.State(), r.Drained()
+		if r == rep {
+			rs, rd = st, drained
+		}
+		if rs == StateHealthy && !rd {
+			want = append(want, r.Addr)
+		}
+	}
+	if equalStrings(want, g.ring.Load().Members()) {
 		return
 	}
 	g.ring.Store(NewRing(want, g.cfg.VNodes))

@@ -104,8 +104,7 @@ func (g *Gate) handleDrain(w http.ResponseWriter, r *http.Request) {
 		failJSON(w, http.StatusNotFound, fmt.Sprintf("unknown replica %q", req.Replica))
 		return
 	}
-	rep.drained.Store(!req.Undrain)
-	g.rebuildRing()
+	g.setDrained(rep, !req.Undrain)
 	g.logf("cluster: replica %s drained=%v (operator)", rep.Addr, !req.Undrain)
 	writeJSON(w, http.StatusOK, map[string]any{
 		"replica": rep.Addr,

@@ -109,6 +109,15 @@ func TestDecodeRejectsCorruptModels(t *testing.T) {
 		}, "Person.Income", "leaf has 1 entries, want 2"},
 		{"CPD row length mismatch", true, func(d *prmDTO) { d.Tables[3].Dist = d.Tables[3].Dist[:2] }, "Purchase~Buyer", "has 2 entries"},
 		{"negative table size", false, func(d *prmDTO) { d.TableSize["Purchase"] = -800 }, "Purchase", "table size -800"},
+		{"oversize tree", false, func(d *prmDTO) {
+			// A well-formed model in which Purchase.Amount's one-leaf tree
+			// stands for 2·2·8192·8192 = 2^28 cells once expanded.
+			const card = 1 << 13
+			d.Vars[0].Card, d.Parents[0], d.Trees[0] = card, nil, bayesnet.NewTreeCPD(card, nil)
+			d.Vars[1].Card, d.Parents[1], d.Trees[1] = card, nil, bayesnet.NewTreeCPD(card, nil)
+			d.Parents[2], d.Trees[2] = []int{3, 0, 1}, bayesnet.NewTreeCPD(2, []int{2, card, card})
+			d.Parents[3], d.Trees[3] = nil, bayesnet.NewTreeCPD(2, nil)
+		}, "Purchase.Amount", "more than 16777216 cells"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

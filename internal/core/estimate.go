@@ -7,6 +7,7 @@ import (
 	"runtime/debug"
 	"sort"
 	"strings"
+	"sync"
 
 	"prmsel/internal/bayesnet"
 	"prmsel/internal/obs"
@@ -93,11 +94,11 @@ func (m *PRM) estimateCount(ctx context.Context, ep *paramEpoch, q *query.Query,
 	if len(q.NonKeyJoins) > 0 {
 		return m.estimateNonKeyJoin(ctx, ep, q, ev)
 	}
-	p, sizes, err := m.eventProbability(ctx, ep, q, ev)
+	p, em, err := m.eventProbability(ctx, ep, q, ev)
 	if err != nil {
 		return 0, err
 	}
-	return p * sizes, nil
+	return p * em.sizeProd, nil
 }
 
 // EstimateSelectivity returns the estimated fraction of the cross product
@@ -165,11 +166,11 @@ func (m *PRM) estimateNonKeyJoin(ctx context.Context, ep *paramEpoch, q *query.Q
 			if err := ctx.Err(); err != nil {
 				return fmt.Errorf("core: non-key-join sum interrupted: %w", err)
 			}
-			p, sizes, err := m.eventProbability(tctx, ep, base, ev)
+			p, em, err := m.eventProbability(tctx, ep, base, ev)
 			if err != nil {
 				return err
 			}
-			total += p * sizes
+			total += p * em.sizeProd
 			terms++
 			return nil
 		}
@@ -221,20 +222,18 @@ func (m *PRM) EstimateGroupBy(q *query.Query, tv, attr string) ([]float64, error
 	return out, nil
 }
 
-// evalBuilder incrementally unrolls the query-evaluation BN against one
-// parameter epoch's CPDs.
+// evalBuilder incrementally unrolls the query-evaluation BN's structure.
 type evalBuilder struct {
-	m  *PRM
-	ep *paramEpoch
+	m *PRM
 	// tuple variables of the upward closure: name -> table.
 	tupleVars map[string]string
 	// joinTo maps (tupleVar, fk) -> referenced tuple variable.
 	joinTo map[[2]string]string
-	// nodes maps (tupleVar, prm var id) -> BN node id.
+	// nodes maps (tupleVar, prm var id) -> BN node id, in creation order.
 	nodes map[nodeKey]int
 	vars  []bayesnet.Variable
 	pars  [][]int
-	cpds  []bayesnet.CPD
+	vids  []int // PRM variable id per node
 	evt   bayesnet.Event
 	fresh int
 }
@@ -244,21 +243,27 @@ type nodeKey struct {
 	vid int
 }
 
-// evalModel is a fully-unrolled query-evaluation BN for one query *shape*
-// (tables, joins, and predicated attributes, ignoring predicate values).
-// Every query of a suite shares one shape, so the network — and its
-// memoized CPD factors — are built once and reused.
+// evalModel is a fully-unrolled query-evaluation BN for one query shape
+// (tables, joins, predicated attributes, and whether each predicated node
+// carries one value or a set, ignoring the values) with the one plan
+// compiled for it. Every query of a suite shares one shape, so the network
+// and its plan are built once per parameter epoch and reused.
 type evalModel struct {
 	net       *bayesnet.Network
-	nodes     map[nodeKey]int
 	tvs       map[string]string // closure tuple variables -> table
 	joinNodes []int             // asserted JoinTrue on every evaluation
 	sizeProd  float64
 	predNode  []int // node id per query predicate, aligned with q.Preds
-	predVID   []int // PRM variable id per predicate
+
+	// once compiles plan at the shape's first evaluation; concurrent
+	// first evaluations compile it once.
+	once sync.Once
+	plan *bayesnet.Plan
 }
 
-// shapeKey builds the cache key of a query's shape.
+// shapeKey renders a query's core shape: its tuple variables and their
+// tables, its joins and its predicated attributes. evidence.key extends
+// it into the compiled-query cache key.
 func shapeKey(q *query.Query) string {
 	var b strings.Builder
 	names := q.VarNames()
@@ -286,29 +291,97 @@ func shapeKey(q *query.Query) string {
 	return b.String()
 }
 
-// model returns the (cached) evaluation model for q's shape in epoch ep;
-// hit reports whether the shape cache already held it. The hit path is
-// lock-free: one atomic load of the epoch's shape map and a read. A miss
-// builds the network outside any lock and inserts it copy-on-write under
-// m.mu; racing builders of the same shape keep the first insert.
-func (m *PRM) model(ep *paramEpoch, q *query.Query) (em *evalModel, hit bool, err error) {
-	key := shapeKey(q)
-	if em, ok := (*ep.shapes.Load())[key]; ok {
+// evidence is a query's selection event before it is placed on network
+// nodes: the predicates grouped by the node they constrain — one per
+// (tuple variable, attribute) — with each group's accept sets intersected.
+type evidence struct {
+	// key is the query's full shape: shapeKey, then '=' or '~' per group
+	// for one accepted value or a set (an empty set counts as a set).
+	key string
+	// heads holds each group's first predicate index; vals its sorted
+	// accepted values.
+	heads []int
+	vals  [][]int32
+	// vids holds each predicate's PRM variable id.
+	vids []int
+}
+
+// queryEvidence resolves q's predicates against the schema and builds its
+// evidence and cache key.
+func (m *PRM) queryEvidence(ep *paramEpoch, q *query.Query) (*evidence, error) {
+	for _, table := range q.Vars {
+		if _, ok := ep.tableSize[table]; !ok {
+			return nil, fmt.Errorf("core: query over unknown table %q", table)
+		}
+	}
+	e := &evidence{vids: make([]int, len(q.Preds))}
+	var sets []map[int32]bool // per group
+	for i, pred := range q.Preds {
+		table := q.Vars[pred.Var]
+		vid := m.AttrVarID(table, pred.Attr)
+		if vid < 0 {
+			return nil, fmt.Errorf("core: table %s has no attribute %q", table, pred.Attr)
+		}
+		e.vids[i] = vid
+		set, err := pred.Accept(m.vars[vid].Card)
+		if err != nil {
+			return nil, fmt.Errorf("core: %w", err)
+		}
+		g := 0
+		for g < len(e.heads) && (q.Preds[e.heads[g]].Var != pred.Var || q.Preds[e.heads[g]].Attr != pred.Attr) {
+			g++
+		}
+		if g == len(e.heads) {
+			e.heads = append(e.heads, i)
+			sets = append(sets, set)
+			continue
+		}
+		for v := range sets[g] {
+			if !set[v] {
+				delete(sets[g], v)
+			}
+		}
+	}
+	var b strings.Builder
+	b.WriteString(shapeKey(q))
+	e.vals = make([][]int32, len(sets))
+	for g, set := range sets {
+		vals := make([]int32, 0, len(set))
+		for v := range set {
+			vals = append(vals, v)
+		}
+		sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
+		e.vals[g] = vals
+		if len(vals) == 1 {
+			b.WriteByte('=')
+		} else {
+			b.WriteByte('~')
+		}
+	}
+	e.key = b.String()
+	return e, nil
+}
+
+// model returns the evaluation model for the query shape e.key in epoch
+// ep, building it on first use; hit reports whether the cache already
+// held it. The hit path is lock-free: one atomic load of the epoch's
+// query map and a read. A miss builds the network outside any lock and
+// inserts it copy-on-write under m.mu; racing builders of the same shape
+// keep the first insert.
+func (m *PRM) model(ep *paramEpoch, q *query.Query, e *evidence) (em *evalModel, hit bool, err error) {
+	if em, ok := (*ep.queries.Load())[e.key]; ok {
+		ep.hits.Add(1)
 		return em, true, nil
 	}
 
 	b := &evalBuilder{
 		m:         m,
-		ep:        ep,
 		tupleVars: make(map[string]string),
 		joinTo:    make(map[[2]string]string),
 		nodes:     make(map[nodeKey]int),
 		evt:       make(bayesnet.Event),
 	}
 	for tv, table := range q.Vars {
-		if _, ok := ep.tableSize[table]; !ok {
-			return nil, false, fmt.Errorf("core: query over unknown table %q", table)
-		}
 		b.tupleVars[tv] = table
 	}
 
@@ -338,68 +411,95 @@ func (m *PRM) model(ep *paramEpoch, q *query.Query) (em *evalModel, hit bool, er
 		}
 		b.evt[node] = []int32{JoinTrue}
 	}
-
-	em = &evalModel{
-		nodes:    b.nodes,
-		predNode: make([]int, len(q.Preds)),
-		predVID:  make([]int, len(q.Preds)),
-	}
+	predNode := make([]int, len(q.Preds))
 	for i, pred := range q.Preds {
-		table := b.tupleVars[pred.Var]
-		vid := m.AttrVarID(table, pred.Attr)
-		if vid < 0 {
-			return nil, false, fmt.Errorf("core: table %s has no attribute %q", table, pred.Attr)
-		}
-		node, err := b.need(pred.Var, vid)
+		node, err := b.need(pred.Var, e.vids[i])
 		if err != nil {
 			return nil, false, err
 		}
-		em.predNode[i] = node
-		em.predVID[i] = vid
+		predNode[i] = node
 	}
 
+	// Number the nodes in PRM-variable order. The variables of one CPD's
+	// scope are distinct, so every node's scope then sorts like its PRM
+	// variable's, and its CPD factor has exactly the layout of the epoch's
+	// table for that variable: every network of the epoch reads one shared
+	// table per CPD.
+	order := make([]int, len(b.vars)) // new id -> creation id
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(i, j int) bool { return b.vids[order[i]] < b.vids[order[j]] })
+	renum := make([]int, len(order)) // creation id -> new id
+	for id, old := range order {
+		renum[old] = id
+	}
+	vars := make([]bayesnet.Variable, len(order))
+	vids := make([]int, len(order))
+	for id, old := range order {
+		vars[id] = b.vars[old]
+		vids[id] = b.vids[old]
+	}
+	em = &evalModel{
+		net:      bayesnet.New(vars),
+		tvs:      b.tupleVars,
+		sizeProd: 1,
+		predNode: predNode,
+	}
+	for id, old := range order {
+		pars := make([]int, len(b.pars[old]))
+		for i, p := range b.pars[old] {
+			pars[i] = renum[p]
+		}
+		em.net.SetParents(id, pars)
+		em.net.SetCPD(id, ep.cpds[vids[id]])
+	}
+	em.net.SetTables(func(v int) []float64 { return m.table(ep, vids[v]) })
+	for i, node := range predNode {
+		predNode[i] = renum[node]
+	}
 	for node := range b.evt {
-		em.joinNodes = append(em.joinNodes, node)
+		em.joinNodes = append(em.joinNodes, renum[node])
 	}
 	sort.Ints(em.joinNodes)
-	em.tvs = b.tupleVars
-	em.sizeProd = 1
 	for _, table := range b.tupleVars {
 		em.sizeProd *= float64(ep.tableSize[table])
 	}
-	em.net = bayesnet.New(b.vars)
-	for id := range b.vars {
-		em.net.SetParents(id, b.pars[id])
-		em.net.SetCPD(id, b.cpds[id])
-	}
 
 	m.mu.Lock()
-	if m.planCap > 0 {
-		em.net.SetPlanCapacity(m.planCap)
-	}
-	old := *ep.shapes.Load()
-	if prev, ok := old[key]; ok {
+	old := *ep.queries.Load()
+	if prev, ok := old[e.key]; ok {
 		// Another builder of the same shape won the insert race; share its
-		// network so plan-cache warmth concentrates on one instance.
+		// network so its plan is compiled once.
 		m.mu.Unlock()
+		ep.hits.Add(1)
 		return prev, true, nil
 	}
 	next := make(map[string]*evalModel, len(old)+1)
 	for k, v := range old {
 		next[k] = v
 	}
-	next[key] = em
-	ep.shapes.Store(&next)
+	next[e.key] = em
+	ep.queries.Store(&next)
 	m.mu.Unlock()
+	ep.misses.Add(1)
 	return em, false, nil
 }
 
-func (m *PRM) eventProbability(ctx context.Context, ep *paramEpoch, q *query.Query, ev evalOpts) (p float64, sizeProduct float64, err error) {
+// eventProbability evaluates q's selection event, conjoined with every
+// join indicator of its closure being true, in epoch ep, and returns the
+// evaluation model that answered (its sizeProd scales the probability to
+// a count).
+func (m *PRM) eventProbability(ctx context.Context, ep *paramEpoch, q *query.Query, ev evalOpts) (float64, *evalModel, error) {
 	if err := q.Validate(); err != nil {
-		return 0, 0, err
+		return 0, nil, err
+	}
+	e, err := m.queryEvidence(ep, q)
+	if err != nil {
+		return 0, nil, err
 	}
 	_, csp := obs.Start(ctx, "closure")
-	em, hit, err := m.model(ep, q)
+	em, hit, err := m.model(ep, q, e)
 	if csp != nil {
 		if err == nil {
 			csp.Set(obs.Bool("cache_hit", hit), obs.Int("tuple_vars", len(em.tvs)))
@@ -407,41 +507,17 @@ func (m *PRM) eventProbability(ctx context.Context, ep *paramEpoch, q *query.Que
 		csp.End()
 	}
 	if err != nil {
-		return 0, 0, err
+		return 0, nil, err
 	}
-	evt := make(bayesnet.Event, len(em.joinNodes)+len(em.predNode))
+	evt := make(bayesnet.Event, len(em.joinNodes)+len(e.heads))
 	for _, node := range em.joinNodes {
 		evt[node] = []int32{JoinTrue}
 	}
-	// Conjoin accept sets per predicated node.
-	accept := make(map[int]map[int32]bool)
-	for i, pred := range q.Preds {
-		vid := em.predVID[i]
-		set, err := pred.Accept(m.vars[vid].Card)
-		if err != nil {
-			return 0, 0, fmt.Errorf("core: %w", err)
+	for g, head := range e.heads {
+		if len(e.vals[g]) == 0 {
+			return 0, em, nil // contradictory predicates
 		}
-		node := em.predNode[i]
-		if prev, ok := accept[node]; ok {
-			for v := range prev {
-				if !set[v] {
-					delete(prev, v)
-				}
-			}
-		} else {
-			accept[node] = set
-		}
-	}
-	for node, set := range accept {
-		if len(set) == 0 {
-			return 0, em.sizeProd, nil // contradictory predicates
-		}
-		vals := make([]int32, 0, len(set))
-		for v := range set {
-			vals = append(vals, v)
-		}
-		sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-		evt[node] = vals
+		evt[em.predNode[head]] = e.vals[g]
 	}
 	var prob float64
 	switch {
@@ -450,12 +526,13 @@ func (m *PRM) eventProbability(ctx context.Context, ep *paramEpoch, q *query.Que
 	case ev.uncompiled:
 		prob, err = em.net.ProbabilityUncompiledBudget(ctx, evt, ev.budget)
 	default:
-		prob, err = em.net.ProbabilityBudget(ctx, evt, ev.budget)
+		em.once.Do(func() { em.plan = em.net.Compile(evt) })
+		prob, err = em.plan.Probability(ctx, evt, ev.budget)
 	}
 	if err != nil {
-		return 0, 0, err
+		return 0, nil, err
 	}
-	return prob, em.sizeProd, nil
+	return prob, em, nil
 }
 
 // need returns (creating if necessary) the BN node for PRM variable vid
@@ -471,7 +548,7 @@ func (b *evalBuilder) need(tv string, vid int) (int, error) {
 	b.nodes[key] = id
 	b.vars = append(b.vars, bayesnet.Variable{Name: tv + ":" + v.Name(), Card: v.Card})
 	b.pars = append(b.pars, nil)
-	b.cpds = append(b.cpds, b.ep.cpds[vid])
+	b.vids = append(b.vids, vid)
 
 	parentIDs := make([]int, len(b.m.parents[vid]))
 	for i, pid := range b.m.parents[vid] {
@@ -572,19 +649,15 @@ func (m *PRM) Explain(q *query.Query) (*Explanation, error) {
 	if len(q.NonKeyJoins) > 0 {
 		return nil, fmt.Errorf("core: Explain does not support non-key joins")
 	}
-	p, sizes, err := m.eventProbability(context.Background(), ep, q, evalOpts{})
-	if err != nil {
-		return nil, err
-	}
-	em, _, err := m.model(ep, q)
+	p, em, err := m.eventProbability(context.Background(), ep, q, evalOpts{})
 	if err != nil {
 		return nil, err
 	}
 	ex := &Explanation{
 		TupleVars:   make(map[string]string, len(em.tvs)),
 		Probability: p,
-		SizeProduct: sizes,
-		Estimate:    p * sizes,
+		SizeProduct: em.sizeProd,
+		Estimate:    p * em.sizeProd,
 		Tier:        TierExact,
 	}
 	for tv, table := range em.tvs {

@@ -18,16 +18,16 @@ import (
 // leaf distributions, table CPDs get fresh per-configuration distributions
 // (configurations unseen in the new data keep their old estimates), and
 // join indicators get fresh join-rate statistics. Table sizes and the
-// evaluation cache are refreshed. The database must have the same schema
-// the model was learned from.
+// compiled-query cache are refreshed. The database must have the same
+// schema the model was learned from.
 //
 // RefitParameters never mutates the published parameters: it clones every
 // CPD, refits the clones, and publishes them as a fresh epoch in one
 // atomic pointer swap. Concurrent EstimateCount calls are never stalled —
 // each finishes against whichever epoch it loaded at entry — and the swap
-// itself invalidates the evaluation-network (and therefore plan) caches,
-// because the new epoch starts with an empty shape map. A refit that
-// fails partway publishes nothing, leaving the old parameters intact.
+// itself invalidates the CPD tables and compiled queries, because the new
+// epoch starts with none. A refit that fails partway publishes nothing,
+// leaving the old parameters intact.
 func (m *PRM) RefitParameters(db *dataset.Database) error {
 	if err := m.checkSchema(db); err != nil {
 		return err
@@ -49,7 +49,7 @@ func (m *PRM) RefitParameters(db *dataset.Database) error {
 }
 
 // cloneEpochLocked derives a private, mutable successor of cur: deep CPD
-// copies, a copied table-size map and a fresh (empty) shape cache.
+// copies, a copied table-size map, and no tables or compiled queries.
 // Caller holds refitMu.
 func (m *PRM) cloneEpochLocked(cur *paramEpoch) *paramEpoch {
 	cpds := make([]bayesnet.CPD, len(cur.cpds))

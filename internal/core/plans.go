@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 
-	"prmsel/internal/bayesnet"
 	"prmsel/internal/query"
 )
 
@@ -14,34 +13,30 @@ func (m *PRM) EstimateCountUncompiled(q *query.Query) (float64, error) {
 	return m.estimateGuarded(context.Background(), m.params(), q, evalOpts{uncompiled: true})
 }
 
-// SetPlanCapacity retunes the plan-cache bound of every cached
-// evaluation network and of networks built afterwards; n <= 0 restores
-// the per-network default. It holds mu across the epoch's shape-map load
-// so a concurrent shape insert (also under mu) cannot slip a network past
-// the retune: the insert either sees the new planCap or is visible here.
-func (m *PRM) SetPlanCapacity(n int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if n < 0 {
-		n = 0
-	}
-	m.planCap = n
-	for _, em := range *m.params().shapes.Load() {
-		em.net.SetPlanCapacity(n)
-	}
+// PlanCacheStats reports the compiled-query cache of one parameter epoch.
+type PlanCacheStats struct {
+	Hits    uint64 // lookups that found the query's shape compiled
+	Misses  uint64 // lookups that unrolled and compiled a new shape
+	Entries int    // shapes held
 }
 
-// PlanStats aggregates the plan-cache counters of every cached evaluation
-// network in the current epoch. Refits publish a new epoch with an empty
-// shape cache, so the counters restart from zero after a parameter change.
-func (m *PRM) PlanStats() bayesnet.PlanCacheStats {
-	var agg bayesnet.PlanCacheStats
-	for _, em := range *m.params().shapes.Load() {
-		st := em.net.PlanStats()
-		agg.Hits += st.Hits
-		agg.Misses += st.Misses
-		agg.Entries += st.Entries
-		agg.Capacity += st.Capacity
+// HitRate returns hits/(hits+misses), or 0 before any lookup.
+func (s PlanCacheStats) HitRate() float64 {
+	total := s.Hits + s.Misses
+	if total == 0 {
+		return 0
 	}
-	return agg
+	return float64(s.Hits) / float64(total)
+}
+
+// PlanStats returns the compiled-query cache counters of the current
+// parameter epoch. Every publish (a refit) starts an epoch with an empty
+// cache, so the counters restart from zero after a parameter change.
+func (m *PRM) PlanStats() PlanCacheStats {
+	ep := m.params()
+	return PlanCacheStats{
+		Hits:    ep.hits.Load(),
+		Misses:  ep.misses.Load(),
+		Entries: len(*ep.queries.Load()),
+	}
 }

@@ -55,12 +55,12 @@ func (v Var) Name() string {
 // PRM is a learned probabilistic relational model.
 //
 // The structural fields (vars, index, parents, strata) are immutable after
-// construction. Everything a refit can change — CPDs, table sizes, and the
-// shape cache of unrolled evaluation networks — lives in an immutable
-// paramEpoch published through an atomic pointer, so the estimate read
-// path never takes a lock: a reader loads the epoch once per request and
-// works against a consistent snapshot while a concurrent refit builds and
-// publishes the next one.
+// construction. Everything a refit can change — CPDs, table sizes, their
+// expanded tables and the cache of compiled queries — lives in an
+// immutable paramEpoch published through an atomic pointer, so the
+// estimate read path never takes a lock: a reader loads the epoch once per
+// request and works against a consistent snapshot while a concurrent refit
+// builds and publishes the next one.
 type PRM struct {
 	vars    []Var
 	index   map[string]int // Var.Name() -> id
@@ -77,44 +77,64 @@ type PRM struct {
 	// fresh epoch. Readers never touch it.
 	refitMu sync.Mutex
 
-	// mu guards planCap and the copy-on-write inserts into the current
-	// epoch's shape map. Shape lookups are lock-free; only builders of a
-	// new shape (and the brownout plan-capacity knob) serialize here.
+	// mu serializes the copy-on-write inserts into the current epoch's
+	// query cache. Lookups are lock-free; only builders of a new query
+	// shape take it.
 	mu sync.Mutex
-	// planCap, when > 0, overrides the plan-cache capacity of every
-	// evaluation network (existing and future) — the brownout
-	// controller's memory knob. Guarded by mu.
-	planCap int
 }
 
 // paramEpoch is one immutable generation of the model's parameters: the
-// CPDs, the table sizes that scale probabilities to counts, and the shape
-// cache of evaluation networks built against exactly these CPDs. A refit
-// never mutates a published epoch — it clones, refits the clones, and
-// swaps the pointer — so holders of an old epoch keep estimating against
-// internally consistent parameters, and the epoch swap doubles as the
-// plan/shape-cache invalidation (the new epoch starts with an empty shape
-// map, and every evalModel it grows embeds the new CPDs).
+// CPDs, the table sizes that scale probabilities to counts, each CPD's
+// expanded table, and the cache of queries compiled against exactly these
+// CPDs. A refit never mutates a published epoch — it clones, refits the
+// clones, and swaps the pointer — so holders of an old epoch keep
+// estimating against internally consistent parameters, and the epoch swap
+// is the cache's invalidation: the new epoch starts with no tables and an
+// empty query map.
 type paramEpoch struct {
 	cpds []bayesnet.CPD
 	// tableSize records |R| per table at learning (or last refit) time.
 	tableSize map[string]int64
-	// shapes memoizes unrolled query-evaluation networks per query shape.
-	// The map value is immutable; inserts copy-on-write under PRM.mu and
-	// republish, so the hot lookup is one atomic load and a map read.
-	// Estimation is safe for concurrent use: the cached networks
-	// synchronize their own factor memoization, and no estimation call
-	// writes shared scratch (factor operations copy, CPDs are read-only
-	// on the Prob/Factor path).
-	shapes atomic.Pointer[map[string]*evalModel]
+	// tables holds each CPD expanded over its PRM variable and parents
+	// (see PRM.table), filled on first use and shared by every evaluation
+	// network of the epoch.
+	tables []cpdTable
+	// queries maps a query's full shape (evidence.key) to its unrolled
+	// evaluation network and compiled plan. The map value is immutable;
+	// inserts copy-on-write under PRM.mu and republish, so a lookup is one
+	// atomic load and a map read. hits and misses count the lookups.
+	queries      atomic.Pointer[map[string]*evalModel]
+	hits, misses atomic.Uint64
 }
 
-// newParamEpoch assembles an epoch with an empty shape cache.
+// cpdTable is one lazily expanded CPD table.
+type cpdTable struct {
+	once sync.Once
+	data []float64
+}
+
+// newParamEpoch assembles an epoch with no tables expanded and an empty
+// query cache.
 func newParamEpoch(cpds []bayesnet.CPD, tableSize map[string]int64) *paramEpoch {
-	ep := &paramEpoch{cpds: cpds, tableSize: tableSize}
+	ep := &paramEpoch{cpds: cpds, tableSize: tableSize, tables: make([]cpdTable, len(cpds))}
 	empty := make(map[string]*evalModel)
-	ep.shapes.Store(&empty)
+	ep.queries.Store(&empty)
 	return ep
+}
+
+// table returns PRM variable vid's CPD in ep expanded over vid and its
+// parents (bayesnet.CPDFactor in PRM ids), expanding it on first use.
+// Concurrent first uses expand it once.
+func (m *PRM) table(ep *paramEpoch, vid int) []float64 {
+	t := &ep.tables[vid]
+	t.once.Do(func() {
+		cards := make([]int, len(m.parents[vid]))
+		for i, p := range m.parents[vid] {
+			cards[i] = m.vars[p].Card
+		}
+		t.data = bayesnet.CPDFactor(ep.cpds[vid], vid, m.parents[vid], m.vars[vid].Card, cards).Data
+	})
+	return t.data
 }
 
 // params returns the current parameter epoch. Callers that make several

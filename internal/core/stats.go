@@ -343,8 +343,8 @@ func (st *ModelStats) Rows(table string) int64 { return st.rows[table] }
 // RefitParameters: no table scan, cost proportional to occupied contingency
 // cells. Like the scan-based refit it clones the current epoch's CPDs,
 // refits the clones, and atomically publishes a fresh epoch (which carries
-// the refreshed table sizes and an empty shape cache); readers are never
-// blocked, and a failed refit publishes nothing.
+// the refreshed table sizes and an empty compiled-query cache); readers
+// are never blocked, and a failed refit publishes nothing.
 func (m *PRM) RefitFromStats(st *ModelStats) error {
 	if st.m != m {
 		return fmt.Errorf("core: RefitFromStats: statistics belong to a different model")

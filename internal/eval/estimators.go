@@ -6,7 +6,6 @@ import (
 	"math/rand"
 
 	"prmsel/internal/baselines"
-	"prmsel/internal/bayesnet"
 	"prmsel/internal/core"
 	"prmsel/internal/dataset"
 	"prmsel/internal/learn"
@@ -47,13 +46,9 @@ func (p *PRMEstimator) EstimateCountFallback(ctx context.Context, q *query.Query
 // scaling, join indicators).
 func (p *PRMEstimator) Explain(q *query.Query) (*core.Explanation, error) { return p.M.Explain(q) }
 
-// PlanStats reports the model's aggregated plan-cache counters; the
+// PlanStats reports the model's compiled-query cache counters; the
 // estimation service surfaces them in /healthz.
-func (p *PRMEstimator) PlanStats() bayesnet.PlanCacheStats { return p.M.PlanStats() }
-
-// SetPlanCapacity retunes the model's plan-cache bound (<= 0 restores
-// the default); the serve layer's brownout controller drives this.
-func (p *PRMEstimator) SetPlanCapacity(n int) { p.M.SetPlanCapacity(n) }
+func (p *PRMEstimator) PlanStats() core.PlanCacheStats { return p.M.PlanStats() }
 
 // StorageBytes implements baselines.Estimator.
 func (p *PRMEstimator) StorageBytes() int { return p.M.StorageBytes() }

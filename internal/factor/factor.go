@@ -24,6 +24,19 @@ type Factor struct {
 // New returns a zero-valued factor over the given variables. vars need not
 // be sorted; cards align with vars.
 func New(vars []int, cards []int) *Factor {
+	f := Scope(vars, cards)
+	size := 1
+	for _, c := range f.Card {
+		size *= c
+	}
+	f.Data = make([]float64, size)
+	return f
+}
+
+// Scope returns a factor over the given variables with no table: Vars
+// sorted, Card aligned with them, Data nil. A caller attaches a table
+// laid out for that sorted order.
+func Scope(vars []int, cards []int) *Factor {
 	if len(vars) != len(cards) {
 		panic(fmt.Sprintf("factor: %d vars but %d cards", len(vars), len(cards)))
 	}
@@ -36,18 +49,15 @@ func New(vars []int, cards []int) *Factor {
 		Vars: make([]int, len(vars)),
 		Card: make([]int, len(vars)),
 	}
-	size := 1
 	for i, j := range idx {
 		f.Vars[i] = vars[j]
 		f.Card[i] = cards[j]
-		size *= cards[j]
 	}
 	for i := 1; i < len(f.Vars); i++ {
 		if f.Vars[i] == f.Vars[i-1] {
 			panic(fmt.Sprintf("factor: duplicate variable %d", f.Vars[i]))
 		}
 	}
-	f.Data = make([]float64, size)
 	return f
 }
 

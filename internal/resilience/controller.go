@@ -18,8 +18,8 @@ const (
 	// Brownout1 skips the exact tier (answers start at the approximate
 	// tier) and thins journal sampling.
 	Brownout1
-	// Brownout2 serves AVI-only answers, shrinks the inference and plan
-	// caches, and tightens admission.
+	// Brownout2 serves AVI-only answers, shrinks the inference cache,
+	// and tightens admission.
 	Brownout2
 	// Shed refuses cache-missing estimate work outright with 503 +
 	// Retry-After; cache hits are still served.

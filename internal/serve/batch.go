@@ -13,7 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"prmsel/internal/bayesnet"
+	"prmsel/internal/core"
 	"prmsel/internal/obs"
 	"prmsel/internal/query"
 	"prmsel/internal/queryparse"
@@ -225,7 +225,7 @@ func (s *Server) estimateBatchItem(ctx context.Context, snap *Snapshot, wanted [
 // planStatser is the optional primary-estimator capability behind the
 // plan-cache health detail; the core PRM implements it.
 type planStatser interface {
-	PlanStats() bayesnet.PlanCacheStats
+	PlanStats() core.PlanCacheStats
 }
 
 // planCacheSnapshot renders the aggregated plan-cache counters for

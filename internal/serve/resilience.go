@@ -172,7 +172,6 @@ func (r *resilienceState) apply(to resilience.State) {
 		r.shedOn.Store(false)
 		r.s.cache.Resize(cfg.CacheCapacity)
 		r.setAdmitCapacity(int64(cfg.MaxConcurrent))
-		r.setPlanCapacity(0) // restore the default
 		r.s.journal.SetSampleEvery(cfg.JournalSampleEvery)
 	case resilience.Brownout1:
 		// Cheapest relief first: stop burning CPU on exact elimination;
@@ -181,16 +180,14 @@ func (r *resilienceState) apply(to resilience.State) {
 		r.shedOn.Store(false)
 		r.s.cache.Resize(cfg.CacheCapacity)
 		r.setAdmitCapacity(int64(cfg.MaxConcurrent))
-		r.setPlanCapacity(0)
 		r.s.journal.SetSampleEvery(scaleSample(cfg.JournalSampleEvery, 4))
 	case resilience.Brownout2:
 		// Inference off entirely (AVI baseline answers), shrink the
-		// memory-hungry caches, and tighten admission.
+		// answer cache, and tighten admission.
 		r.tierCeil.Store(tierCeilAVI)
 		r.shedOn.Store(false)
 		r.s.cache.Resize(cfg.CacheCapacity / 2)
 		r.setAdmitCapacity(int64(cfg.MaxConcurrent) * 3 / 4)
-		r.setPlanCapacity(64)
 		r.s.journal.SetSampleEvery(scaleSample(cfg.JournalSampleEvery, 16))
 	case resilience.Shed:
 		// Survival mode: cache hits only; everything else is refused
@@ -199,7 +196,6 @@ func (r *resilienceState) apply(to resilience.State) {
 		r.shedOn.Store(true)
 		r.s.cache.Resize(cfg.CacheCapacity / 4)
 		r.setAdmitCapacity(int64(cfg.MaxConcurrent) / 2)
-		r.setPlanCapacity(32)
 		r.s.journal.SetSampleEvery(0) // errors and degraded answers are still always kept
 	}
 }
@@ -216,22 +212,6 @@ func scaleSample(n, k int) int {
 func (r *resilienceState) setAdmitCapacity(c int64) {
 	if r.s.adm != nil {
 		r.s.adm.setCapacity(c)
-	}
-}
-
-// planCapper is the optional primary-estimator capability behind the
-// brownout controller's plan-cache knob; the core PRM implements it.
-type planCapper interface{ SetPlanCapacity(int) }
-
-func (r *resilienceState) setPlanCapacity(n int) {
-	for _, name := range r.s.reg.Names() {
-		m, ok := r.s.reg.Get(name)
-		if !ok {
-			continue
-		}
-		if pc, ok := m.Current().Primary().(planCapper); ok {
-			pc.SetPlanCapacity(n)
-		}
 	}
 }
 

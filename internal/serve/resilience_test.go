@@ -190,8 +190,8 @@ func TestHealthzAndMetricsExposeResilience(t *testing.T) {
 }
 
 // TestResilienceApplyUnderConcurrentLoad exercises the actuators — cache
-// resize, admission retune, plan-cache retune, tier ceiling — while
-// estimate traffic runs, for the race detector's benefit.
+// resize, admission retune, tier ceiling — while estimate traffic runs,
+// for the race detector's benefit.
 func TestResilienceApplyUnderConcurrentLoad(t *testing.T) {
 	srv, ts := resilienceTestServer(t)
 	states := []resilience.State{

@@ -8,7 +8,7 @@ import (
 	"strings"
 	"time"
 
-	"prmsel/internal/bayesnet"
+	"prmsel/internal/core"
 	"prmsel/internal/obs"
 )
 
@@ -54,11 +54,11 @@ func (s *Server) registerScrapeGauges() {
 	reg := s.metrics.Registry()
 	reg.GaugeFunc("prm_cache_entries", "Entries in the inference cache.",
 		func() float64 { return float64(s.cache.Len()) })
-	reg.GaugeFunc("prm_plan_cache_hits", "Compiled-plan cache hits across served models.",
+	reg.GaugeFunc("prm_plan_cache_hits", "Compiled-query cache hits in the current parameter epochs of served models.",
 		func() float64 { return float64(s.planCacheStats().Hits) })
-	reg.GaugeFunc("prm_plan_cache_misses", "Compiled-plan cache misses across served models.",
+	reg.GaugeFunc("prm_plan_cache_misses", "Compiled-query cache misses in the current parameter epochs of served models.",
 		func() float64 { return float64(s.planCacheStats().Misses) })
-	reg.GaugeFunc("prm_plan_cache_entries", "Compiled plans cached across served models.",
+	reg.GaugeFunc("prm_plan_cache_entries", "Compiled query shapes cached in the current parameter epochs of served models.",
 		func() float64 { return float64(s.planCacheStats().Entries) })
 	reg.GaugeFunc("prm_journal_recorded", "Wide events recorded in the request journal.",
 		func() float64 { return float64(s.journal.Stats().Recorded) })
@@ -256,8 +256,8 @@ func (s *Server) journalEvent(ctx context.Context, kind string, status int, degr
 // planCacheStats aggregates plan-cache counters across every served
 // model — the number behind both the /healthz detail and the
 // prm_plan_cache_* gauges.
-func (s *Server) planCacheStats() bayesnet.PlanCacheStats {
-	var agg bayesnet.PlanCacheStats
+func (s *Server) planCacheStats() core.PlanCacheStats {
+	var agg core.PlanCacheStats
 	for _, name := range s.reg.Names() {
 		m, ok := s.reg.Get(name)
 		if !ok {
@@ -268,7 +268,6 @@ func (s *Server) planCacheStats() bayesnet.PlanCacheStats {
 			agg.Hits += st.Hits
 			agg.Misses += st.Misses
 			agg.Entries += st.Entries
-			agg.Capacity += st.Capacity
 		}
 	}
 	return agg
