@@ -46,7 +46,7 @@ func main() {
 	idleTimeout := flag.Duration("idle-timeout", 2*time.Minute, "max keep-alive idle time per connection")
 	maxBody := flag.Int64("max-body", 1<<20, "request body limit in bytes")
 	exactEvery := flag.Int("exact-every", 0, "run every Nth estimate through the exact executor for q-error metrics (0 = off)")
-	logJSON := flag.Bool("log-json", false, "emit request logs as JSON (default: logfmt-style text)")
+	logJSON := flag.Bool("log-json", false, "emit access lines as JSON (default: logfmt-style text); one is written for every error and every success the request journal keeps")
 	maxCells := flag.Int("max-cells", 0, "elimination budget in factor cells; over-budget queries degrade to sampling (0 = unlimited)")
 	approxSamples := flag.Int("approx-samples", 4096, "likelihood-weighting samples for the degraded tier")
 	maxConcurrent := flag.Int("max-concurrent", 0, "admission-control weight capacity (0 = 8×GOMAXPROCS, negative = off)")

@@ -19,6 +19,11 @@ const (
 	SplitBytes = 4
 )
 
+// MaxTreeDepth bounds a tree CPD's depth (the root is at depth 0): the
+// learner stops splitting a leaf there and CheckCPD refuses deeper trees,
+// so a pathologically deep tree cannot run the recursive walks away.
+const MaxTreeDepth = 64
+
 // CPD is a conditional probability distribution P(X | Parents).
 type CPD interface {
 	// Prob returns P(X = childVal | Parents = parentVals); parentVals align
@@ -453,11 +458,11 @@ func CheckCPD(c CPD, childCard int, parentCards []int) error {
 }
 
 // checkTreeWellFormed rejects tree shapes Walk and check would crash on:
-// nil children and interior vertices with no branches. Depth is bounded
-// so a pathologically deep tree cannot run the recursive walks away.
+// nil children and interior vertices with no branches, and trees deeper
+// than MaxTreeDepth.
 func checkTreeWellFormed(n *TreeNode, depth int) error {
-	if depth > 64 {
-		return fmt.Errorf("tree CPD deeper than 64 levels")
+	if depth > MaxTreeDepth {
+		return fmt.Errorf("tree CPD deeper than %d levels", MaxTreeDepth)
 	}
 	if n.Dist != nil {
 		return nil

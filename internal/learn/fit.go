@@ -98,6 +98,7 @@ func FitTable(c *Counts) FitResult {
 // evaluation, so growth is near-linear in the number of splits.
 type growLeaf struct {
 	node        *bayesnet.TreeNode
+	depth       int // the root is at depth 0
 	entries     []entry
 	childCounts []float64
 	ll          float64
@@ -122,9 +123,10 @@ type splitPlan struct {
 
 // GrowTree fits a tree CPD by greedy top-down induction: starting from a
 // single marginal leaf, repeatedly apply the leaf split with the best
-// likelihood gain per byte, as long as the gain exceeds the MDL penalty and
-// the byte cap permits. This is the tree-refinement operator of the paper's
-// search (§4.3.3) folded into CPD fitting.
+// likelihood gain per byte, as long as the gain exceeds the MDL penalty,
+// the byte cap permits, and the leaf is above bayesnet.MaxTreeDepth. This
+// is the tree-refinement operator of the paper's search (§4.3.3) folded
+// into CPD fitting.
 func GrowTree(c *Counts, opts TreeOptions) FitResult {
 	childCard := c.ChildCard()
 	parentCards := c.Cards[1:]
@@ -162,7 +164,11 @@ func GrowTree(c *Counts, opts TreeOptions) FitResult {
 		var bestRatio float64
 		for _, lf := range leaves {
 			if !lf.planReady {
-				lf.plan = bestSplit(lf, childCard, parentCards, penalty)
+				// A leaf at the depth bound stays a leaf: its children
+				// would make a tree the decoder refuses.
+				if lf.depth < bayesnet.MaxTreeDepth {
+					lf.plan = bestSplit(lf, childCard, parentCards, penalty)
+				}
 				lf.planReady = true
 			}
 			plan := lf.plan
@@ -230,8 +236,8 @@ func takesBranch(op bayesnet.SplitOp, arg, val int32) bool {
 func applySplit(plan *splitPlan, childCard int) []*growLeaf {
 	lf := plan.leaf
 	children := []*growLeaf{
-		{node: &bayesnet.TreeNode{}, childCounts: make([]float64, childCard)},
-		{node: &bayesnet.TreeNode{}, childCounts: make([]float64, childCard)},
+		{node: &bayesnet.TreeNode{}, depth: lf.depth + 1, childCounts: make([]float64, childCard)},
+		{node: &bayesnet.TreeNode{}, depth: lf.depth + 1, childCounts: make([]float64, childCard)},
 	}
 	for _, e := range lf.entries {
 		side := 1

@@ -259,3 +259,41 @@ func TestParallelSearchMatchesSerial(t *testing.T) {
 		}
 	}
 }
+
+// treeDepth is the depth of the deepest leaf (the root is at depth 0).
+func treeDepth(n *bayesnet.TreeNode) int {
+	d := 0
+	for _, c := range n.Children {
+		d = max(d, 1+treeDepth(c))
+	}
+	return d
+}
+
+// TestGrowTreeDecodes: a learned tree must pass the decoder's checks, or
+// a model that serves cannot be recovered from the store or loaded. One
+// 200-value parent whose values alternate the child's distribution by
+// parity grows a chain of equality splits, one per value, past the
+// decoder's depth bound unless growth stops there.
+func TestGrowTreeDecodes(t *testing.T) {
+	const card = 200
+	c := NewCounts([]int{2, card})
+	for v := int32(0); v < card; v++ {
+		p1 := 0.05
+		if v%2 == 1 {
+			p1 = 0.95
+		}
+		c.Add([]int32{1, v}, 1000*p1)
+		c.Add([]int32{0, v}, 1000*(1-p1))
+	}
+	for _, opts := range []TreeOptions{{}, {MaxBytes: 4400}} {
+		fr := GrowTree(c, opts)
+		tree := fr.CPD.(*bayesnet.TreeCPD)
+		if d := treeDepth(tree.Root); d > bayesnet.MaxTreeDepth {
+			t.Errorf("opts %+v: tree %d levels deep, bound %d", opts, d, bayesnet.MaxTreeDepth)
+		}
+		if err := bayesnet.CheckCPD(fr.CPD, 2, []int{card}); err != nil {
+			t.Errorf("opts %+v: learned tree (%d bytes, %d levels) fails CheckCPD: %v",
+				opts, fr.Bytes, treeDepth(tree.Root), err)
+		}
+	}
+}

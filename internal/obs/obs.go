@@ -9,7 +9,9 @@
 // context Value lookup returning nil. Hot paths therefore instrument
 // unconditionally and pay nothing unless a caller installed a tracer
 // (prmquery -trace, prmbench -trace, or the estimation service, which
-// traces every request to feed its per-stage latency histograms).
+// builds a request's span tree only for ?trace=1 and otherwise traces
+// just a cache miss's inference to feed the closure and infer stage
+// histograms).
 //
 // Spans are safe for concurrent use: all mutation locks the owning
 // tracer, so stages running in worker goroutines may annotate and attach

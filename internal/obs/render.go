@@ -45,16 +45,24 @@ func (s *Span) dumpLocked() *SpanDump {
 	return d
 }
 
-// Visit calls fn for every span in the subtree (preorder). Used by the
-// service to project a finished trace onto its per-stage histograms.
+// Visit calls fn for every span in the subtree (preorder) with its name
+// and duration, running for spans still open. The service uses it to feed
+// a cache miss's inference spans into its stage histograms. Visit holds
+// the tracer's lock while it walks, so fn must not call into the tracer.
 func (s *Span) Visit(fn func(name string, dur time.Duration)) {
 	if s == nil {
 		return
 	}
-	d := s.Dump()
-	d.Visit(func(dd *SpanDump) {
-		fn(dd.Name, time.Duration(dd.DurationMicros)*time.Microsecond)
-	})
+	s.tracer.mu.Lock()
+	defer s.tracer.mu.Unlock()
+	s.visitLocked(fn)
+}
+
+func (s *Span) visitLocked(fn func(name string, dur time.Duration)) {
+	fn(s.name, s.durationLocked())
+	for _, c := range s.children {
+		c.visitLocked(fn)
+	}
 }
 
 // Visit calls fn for every dump in the subtree (preorder).

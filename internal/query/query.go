@@ -246,40 +246,47 @@ func (q *Query) String() string {
 // attempt full semantic equivalence (e.g. a NOT IN and its complementary IN
 // produce different keys).
 func (q *Query) CanonicalKey() string {
-	// The key is assembled in one strings.Builder pass with no intermediate
-	// clause strings: this sits on the cache-key path of every served
-	// estimate, so the rewrite trades the old sort-the-rendered-clauses
-	// approach for index sorts over the clause slices (see the AllocsPerRun
-	// guard in the tests). Clause categories are emitted in a fixed order
-	// (vars, keyjoins, non-key joins, predicates), each category sorted by
-	// its fields, which canonicalizes construction order just as sorting
-	// the rendered strings did.
-	var b strings.Builder
-	b.Grow(32 + 16*(len(q.Vars)+len(q.Joins)+len(q.NonKeyJoins)+len(q.Preds)))
+	b := make([]byte, 0, 32+16*(len(q.Vars)+len(q.Joins)+len(q.NonKeyJoins)+len(q.Preds)))
+	return string(q.AppendCanonicalKey(b))
+}
 
-	names := make([]string, 0, len(q.Vars))
+// keyScratch sizes the stack arrays AppendCanonicalKey sorts in: a query
+// of up to keyScratch variables, clauses and predicate values (a BETWEEN
+// counts every value of its range) keys with no heap scratch, and a
+// larger one spills it. perfbench's served queries need at most 3, 4 and
+// 20.
+const keyScratch = 32
+
+// AppendCanonicalKey appends CanonicalKey's bytes to b and returns the
+// extended buffer. It sits on the cache-key path of every served
+// estimate, so it sorts clause indices in place (no rendered clause
+// strings) and keeps its scratch on the stack for queries of up to
+// keyScratch variables, clauses and predicate values. Clause categories
+// are emitted in a fixed order (vars, keyjoins, non-key joins,
+// predicates), each sorted by its fields, which canonicalizes
+// construction order.
+func (q *Query) AppendCanonicalKey(b []byte) []byte {
+	var nameBuf [keyScratch]string
+	names := nameBuf[:0]
 	for v := range q.Vars {
 		names = append(names, v)
 	}
 	insertionSortStrings(names)
 	for i, v := range names {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		b.WriteString(v)
-		b.WriteByte(':')
-		b.WriteString(q.Vars[v])
+		b = append(b, v...)
+		b = append(b, ':')
+		b = append(b, q.Vars[v]...)
 	}
 
 	// One index buffer, reused across the three clause categories.
-	n := len(q.Joins)
-	if len(q.NonKeyJoins) > n {
-		n = len(q.NonKeyJoins)
+	var idxBuf [keyScratch]int
+	idx := idxBuf[:]
+	if n := max(len(q.Joins), len(q.NonKeyJoins), len(q.Preds)); n > len(idx) {
+		idx = make([]int, n)
 	}
-	if len(q.Preds) > n {
-		n = len(q.Preds)
-	}
-	idx := make([]int, n)
 
 	order := idx[:len(q.Joins)]
 	for i := range order {
@@ -287,13 +294,13 @@ func (q *Query) CanonicalKey() string {
 	}
 	insertionSort(order, q.lessJoin)
 	for _, i := range order {
-		j := q.Joins[i]
-		b.WriteString(";j|")
-		b.WriteString(j.FromVar)
-		b.WriteByte('.')
-		b.WriteString(j.FK)
-		b.WriteByte('|')
-		b.WriteString(j.ToVar)
+		j := &q.Joins[i]
+		b = append(b, ";j|"...)
+		b = append(b, j.FromVar...)
+		b = append(b, '.')
+		b = append(b, j.FK...)
+		b = append(b, '|')
+		b = append(b, j.ToVar...)
 	}
 
 	order = idx[:len(q.NonKeyJoins)]
@@ -303,30 +310,27 @@ func (q *Query) CanonicalKey() string {
 	insertionSort(order, q.lessNonKeyJoin)
 	for _, i := range order {
 		lv, la, rv, ra := q.NonKeyJoins[i].sides()
-		b.WriteString(";n|")
-		b.WriteString(lv)
-		b.WriteByte('.')
-		b.WriteString(la)
-		b.WriteByte('|')
-		b.WriteString(rv)
-		b.WriteByte('.')
-		b.WriteString(ra)
+		b = append(b, ";n|"...)
+		b = append(b, lv...)
+		b = append(b, '.')
+		b = append(b, la...)
+		b = append(b, '|')
+		b = append(b, rv...)
+		b = append(b, '.')
+		b = append(b, ra...)
 	}
 
 	// Predicate value sets are sorted (and deduplicated at emission) in one
 	// shared backing array instead of a copy per predicate.
-	total := 0
+	var valBuf [keyScratch]int32
+	var startBuf [keyScratch + 1]int
+	vals, starts := valBuf[:0], startBuf[:0]
 	for i := range q.Preds {
-		total += len(q.Preds[i].Values)
-	}
-	vals := make([]int32, 0, total)
-	starts := make([]int, len(q.Preds)+1)
-	for i := range q.Preds {
-		starts[i] = len(vals)
+		starts = append(starts, len(vals))
 		vals = append(vals, q.Preds[i].Values...)
 		sortInt32s(vals[starts[i]:])
 	}
-	starts[len(q.Preds)] = len(vals)
+	starts = append(starts, len(vals))
 
 	order = idx[:len(q.Preds)]
 	for i := range order {
@@ -335,17 +339,16 @@ func (q *Query) CanonicalKey() string {
 	insertionSort(order, func(a, c int) bool {
 		return q.lessPred(a, c, vals, starts)
 	})
-	var digits [12]byte
 	for _, i := range order {
 		p := &q.Preds[i]
-		b.WriteString(";p|")
-		b.WriteString(p.Var)
-		b.WriteByte('.')
-		b.WriteString(p.Attr)
+		b = append(b, ";p|"...)
+		b = append(b, p.Var...)
+		b = append(b, '.')
+		b = append(b, p.Attr...)
 		if p.Negate {
-			b.WriteString("|not|")
+			b = append(b, "|not|"...)
 		} else {
-			b.WriteString("|in|")
+			b = append(b, "|in|"...)
 		}
 		last := int32(-1)
 		for k, v := range vals[starts[i]:starts[i+1]] {
@@ -353,11 +356,11 @@ func (q *Query) CanonicalKey() string {
 				continue
 			}
 			last = v
-			b.Write(strconv.AppendInt(digits[:0], int64(v), 10))
-			b.WriteByte(',')
+			b = strconv.AppendInt(b, int64(v), 10)
+			b = append(b, ',')
 		}
 	}
-	return b.String()
+	return b
 }
 
 // sides returns the non-key join's endpoints with the lexically smaller

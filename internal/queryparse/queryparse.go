@@ -64,60 +64,73 @@ func AsParseError(err error) *ParseError {
 // Parse parses text into a query, resolving tables, foreign keys and value
 // labels against db. Failures are reported as *ParseError.
 func Parse(db *dataset.Database, text string) (*query.Query, error) {
-	toks, err := tokenize(text)
-	if err != nil {
-		return nil, err
+	// A '!' only ever begins "!=": any other is rejected before parsing,
+	// so the lexer never fails.
+	for i := 0; i < len(text); i++ {
+		if text[i] == '!' && (i+1 == len(text) || text[i+1] != '=') {
+			return nil, &ParseError{Offset: i, Near: "!", Msg: "stray '!'"}
+		}
 	}
-	p := &parser{db: db, toks: toks, end: len(text)}
+	p := parser{db: db, text: text}
+	p.cur = p.lex(0)
 	return p.parse()
 }
 
-// token is one lexeme plus its byte offset in the input.
+// token is one lexeme: the byte span text[off:end] of the input, empty at
+// the end of input. Tokens are offsets, not strings, so lexing allocates
+// nothing.
 type token struct {
-	s   string
-	off int
+	off, end int
 }
 
+// parser lexes one token ahead of its cursor: it holds the next token and
+// the one consumed last, so parsing stores no token list, whatever the
+// query's length.
 type parser struct {
 	db   *dataset.Database
-	toks []token
-	pos  int
-	end  int // len(input), the offset reported at premature end
+	text string
+	cur  token // the next token, not yet consumed
+	last token // the token consumed most recently, where errors point
 	q    *query.Query
 }
 
-func (p *parser) peek() string {
-	if p.pos >= len(p.toks) {
-		return ""
+// lex returns the token that starts at or after byte offset i: an
+// identifier or value, or one of the punctuation tokens . , ( ) = !=.
+func (p *parser) lex(i int) token {
+	text := p.text
+	for i < len(text) && (text[i] == ' ' || text[i] == '\t' || text[i] == '\n' || text[i] == '\r') {
+		i++
 	}
-	return p.toks[p.pos].s
+	if i == len(text) {
+		return token{off: i, end: i}
+	}
+	switch text[i] {
+	case '.', ',', '(', ')', '=':
+		return token{off: i, end: i + 1}
+	case '!':
+		return token{off: i, end: i + 2} // Parse admits '!' only before '='
+	}
+	j := i
+	for j < len(text) && !isDelim(text[j]) {
+		j++
+	}
+	return token{off: i, end: j}
 }
 
-// at returns the offset of the token at index i (or the input end).
-func (p *parser) at(i int) int {
-	if i >= len(p.toks) {
-		return p.end
-	}
-	return p.toks[i].off
-}
+func (p *parser) str(t token) string { return p.text[t.off:t.end] }
+
+// peek returns the text of the next token, or "" at the end of input.
+func (p *parser) peek() string { return p.str(p.cur) }
 
 func (p *parser) next() string {
-	t := p.peek()
-	p.pos++
-	return t
+	p.last = p.cur
+	p.cur = p.lex(p.cur.end)
+	return p.str(p.last)
 }
 
 // errHere builds a ParseError at the token just consumed (or the input end).
 func (p *parser) errHere(format string, args ...any) *ParseError {
-	i := p.pos - 1
-	if i < 0 {
-		i = 0
-	}
-	near := ""
-	if i < len(p.toks) {
-		near = p.toks[i].s
-	}
-	e := &ParseError{Offset: p.at(i), Near: near, Msg: fmt.Sprintf(format, args...)}
+	e := &ParseError{Offset: p.last.off, Near: p.str(p.last), Msg: fmt.Sprintf(format, args...)}
 	for _, a := range args {
 		if err, ok := a.(error); ok {
 			e.Err = err
@@ -137,19 +150,25 @@ func (p *parser) expect(t string) error {
 	return nil
 }
 
+// predHint is the predicate list's initial capacity. The served query
+// pools of perfbench carry one to four predicates each, so one list
+// allocation holds them; a longer WHERE clause grows the list by append.
+const predHint = 4
+
 func (p *parser) parse() (*query.Query, error) {
 	p.q = query.New()
 	if err := p.expect("FROM"); err != nil {
 		return nil, err
 	}
 	for {
+		tableTok := p.cur
 		table := p.next()
 		alias := p.next()
 		if table == "" || alias == "" {
 			return nil, p.errHere("FROM needs 'Table alias' pairs")
 		}
 		if p.db.Table(table) == nil {
-			p.pos-- // point at the table token, not the alias
+			p.last = tableTok // point at the table token, not the alias
 			return nil, p.errHere("unknown table %q", table)
 		}
 		if _, dup := p.q.Vars[alias]; dup {
@@ -166,9 +185,9 @@ func (p *parser) parse() (*query.Query, error) {
 		return p.q, nil
 	case strings.EqualFold(p.peek(), "WHERE"):
 		p.next()
+		p.q.Preds = make([]query.Pred, 0, predHint)
 	default:
-		p.next()
-		return nil, p.errHere("expected WHERE or end, got %q", p.toks[p.pos-1].s)
+		return nil, p.errHere("expected WHERE or end, got %q", p.next())
 	}
 	for {
 		if err := p.clause(); err != nil {
@@ -180,8 +199,7 @@ func (p *parser) parse() (*query.Query, error) {
 		p.next()
 	}
 	if p.peek() != "" {
-		p.next()
-		return nil, p.errHere("trailing input %q", p.toks[p.pos-1].s)
+		return nil, p.errHere("trailing input %q", p.next())
 	}
 	if err := p.q.Validate(); err != nil {
 		return nil, &ParseError{Offset: 0, Msg: "invalid query", Err: err}
@@ -195,6 +213,7 @@ type ref struct {
 }
 
 func (p *parser) parseRef() (ref, error) {
+	aliasAt := p.cur.off
 	alias := p.next()
 	if alias == "" {
 		return ref{}, p.errHere("expected alias.attr, got end of input")
@@ -207,7 +226,7 @@ func (p *parser) parseRef() (ref, error) {
 		return ref{}, p.errHere("malformed alias.attr reference")
 	}
 	if _, ok := p.q.Vars[alias]; !ok {
-		return ref{}, &ParseError{Offset: p.at(p.pos - 3), Near: alias, Msg: fmt.Sprintf("unknown alias %q", alias)}
+		return ref{}, &ParseError{Offset: aliasAt, Near: alias, Msg: fmt.Sprintf("unknown alias %q", alias)}
 	}
 	return ref{alias: alias, attr: attr}, nil
 }
@@ -271,7 +290,7 @@ func (p *parser) clause() error {
 // equalsClause disambiguates "= value", "= alias.PK" and "= alias.attr".
 func (p *parser) equalsClause(left ref) error {
 	// alias.X = otherAlias.(PK|attr)?
-	if _, ok := p.q.Vars[p.peek()]; ok && p.pos+1 < len(p.toks) && p.toks[p.pos+1].s == "." {
+	if _, ok := p.q.Vars[p.peek()]; ok && p.str(p.lex(p.cur.end)) == "." {
 		otherAlias := p.next()
 		p.next() // "."
 		target := p.next()
@@ -281,8 +300,12 @@ func (p *parser) equalsClause(left ref) error {
 		if strings.EqualFold(target, "PK") {
 			// Keyjoin through the foreign key named left.attr.
 			fromTable := p.db.Table(p.q.Vars[left.alias])
-			if fromTable.FKIndex(left.attr) < 0 {
+			fk := fromTable.FKIndex(left.attr)
+			if fk < 0 {
 				return p.errHere("table %s has no foreign key %q", fromTable.Name, left.attr)
+			}
+			if to, toTable := fromTable.ForeignKeys[fk].To, p.q.Vars[otherAlias]; to != toTable {
+				return p.errHere("foreign key %s.%s references %s, not %s", fromTable.Name, left.attr, to, toTable)
 			}
 			p.q.KeyJoin(left.alias, left.attr, otherAlias)
 			return nil
@@ -357,34 +380,11 @@ func (p *parser) valueList(r ref) ([]int32, error) {
 	}
 }
 
-// tokenize splits the input into identifiers/values and the punctuation
-// tokens . , ( ) = !=, recording each token's byte offset.
-func tokenize(text string) ([]token, error) {
-	var toks []token
-	i := 0
-	for i < len(text) {
-		c := text[i]
-		switch {
-		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
-			i++
-		case c == '.' || c == ',' || c == '(' || c == ')' || c == '=':
-			toks = append(toks, token{s: string(c), off: i})
-			i++
-		case c == '!':
-			if i+1 < len(text) && text[i+1] == '=' {
-				toks = append(toks, token{s: "!=", off: i})
-				i += 2
-			} else {
-				return nil, &ParseError{Offset: i, Near: "!", Msg: "stray '!'"}
-			}
-		default:
-			j := i
-			for j < len(text) && !strings.ContainsRune(" \t\n\r.,()=!", rune(text[j])) {
-				j++
-			}
-			toks = append(toks, token{s: text[i:j], off: i})
-			i = j
-		}
+// isDelim reports whether c ends an identifier or value token.
+func isDelim(c byte) bool {
+	switch c {
+	case ' ', '\t', '\n', '\r', '.', ',', '(', ')', '=', '!':
+		return true
 	}
-	return toks, nil
+	return false
 }

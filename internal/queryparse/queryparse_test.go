@@ -1,6 +1,7 @@
 package queryparse
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -131,6 +132,7 @@ func TestParseErrorPositions(t *testing.T) {
 		{"unterminated list", `FROM Patient p WHERE p.Age IN (age1`, 35, "", "unterminated"},
 		{"duplicate alias", `FROM Patient p, Patient p`, 24, "p", "duplicate alias"},
 		{"missing fk", `FROM Contact c, Patient p WHERE c.Nope = p.PK`, 43, "PK", "no foreign key"},
+		{"fk to another table", `FROM Contact c WHERE c.Patient = c.PK`, 35, "PK", "references Patient, not Contact"},
 		{"trailing input", `FROM Patient p WHERE p.Age = #1 trailing`, 32, "trailing", "trailing"},
 		{"stray bang", `FROM Patient p WHERE p.Age ! #1`, 27, "!", "stray"},
 		{"missing value", `FROM Patient p WHERE p.Age =`, 28, "", "missing value"},
@@ -172,6 +174,97 @@ func TestParseRoundTripAgainstStringForm(t *testing.T) {
 	for _, want := range []string{"c.Patient = p.PK", "p.Strain = s.PK", "s.Unique = 0", "c.Infected != 0"} {
 		if !strings.Contains(rendered, want) {
 			t.Errorf("rendered %q missing %q", rendered, want)
+		}
+	}
+}
+
+// TestParseLongQuery: a 72-token query parses every clause, and
+// reordering its clauses leaves the canonical key unchanged.
+func TestParseLongQuery(t *testing.T) {
+	db := tbDB(t)
+	clauses := []string{
+		"c.Patient = p.PK", "p.Strain = s.PK",
+		"c.Contype IN (roommate, casual, coworker)", "c.Infected != false",
+		"p.Age BETWEEN age2 AND age5", "p.HIV NOT IN (unknown)",
+		"p.USBorn = true", "s.Unique = false",
+	}
+	text := func(order []string) string {
+		return "FROM Contact c, Patient p, Strain s WHERE " + strings.Join(order, " AND ")
+	}
+	q, err := Parse(db, text(clauses))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(q.Vars) != 3 || len(q.Joins) != 2 || len(q.Preds) != 6 {
+		t.Fatalf("shape wrong: %s", q)
+	}
+	reordered := make([]string, len(clauses))
+	for i, c := range clauses {
+		reordered[len(clauses)-1-i] = c
+	}
+	r, err := Parse(db, text(reordered))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q.CanonicalKey() != r.CanonicalKey() {
+		t.Errorf("reordered clauses keyed differently:\n%s\n%s", q.CanonicalKey(), r.CanonicalKey())
+	}
+}
+
+// TestParseANDFlood: a query of nothing but ANDs after WHERE, as long as
+// the service's default 1 MiB body admits, fails at its first clause
+// without allocating in proportion to its length.
+func TestParseANDFlood(t *testing.T) {
+	db := datagen.Census(200, 1)
+	text := "FROM Census c WHERE " + strings.Repeat("AND ", 1<<18)
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := Parse(db, text); err == nil {
+			t.Fatal("an AND flood parsed")
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perCall := (after.TotalAlloc - before.TotalAlloc) / runs; perCall > 16<<10 {
+		t.Errorf("a failing %d-byte parse allocated %d bytes, want <= 16 KiB", len(text), perCall)
+	}
+}
+
+// censusQuery is a three-predicate point query over the Census table, the
+// shape of the served benchmark's cache hits.
+const censusQuery = `FROM Census c WHERE c.Age = age3 AND c.Sex = sex0 AND c.Income = inc1`
+
+// parseAllocs pins the allocations of parsing censusQuery with go1.24:
+// the query, its variable map (header and first group), the predicate
+// list, and one value slice per predicate. Tokens are lexed one at a time
+// and name the input by offset, so a per-token string or a token slice
+// fails TestParseAllocs.
+const parseAllocs = 7
+
+// TestParseAllocs guards the parse step of every served estimate.
+func TestParseAllocs(t *testing.T) {
+	db := datagen.Census(200, 1)
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := Parse(db, censusQuery); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > parseAllocs {
+		t.Errorf("Parse allocates %v times per call, want <= %d", allocs, parseAllocs)
+	}
+	t.Logf("Parse: %v allocs per call (pinned at %d)", allocs, parseAllocs)
+}
+
+// BenchmarkParse parses censusQuery and reports its allocations next to
+// TestParseAllocs' pin.
+func BenchmarkParse(b *testing.B) {
+	db := datagen.Census(200, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Parse(db, censusQuery); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -7,14 +7,12 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"prmsel/internal/core"
-	"prmsel/internal/obs"
 	"prmsel/internal/query"
 	"prmsel/internal/queryparse"
 )
@@ -59,13 +57,8 @@ type batchEstimateResponse struct {
 // as it does for single requests, so a batch cannot starve interactive
 // traffic.
 func (s *Server) handleEstimateBatch(w http.ResponseWriter, r *http.Request) {
-	started := time.Now()
-	tr := obs.NewTracer("batch")
-	ctx := obs.NewContext(r.Context(), tr.Root())
-	defer func() {
-		tr.End()
-		tr.Root().Visit(s.metrics.ObserveStage)
-	}()
+	rec := recordOf(w)
+	rec.kind = kindBatch
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	var req batchEstimateRequest
 	dec := json.NewDecoder(r.Body)
@@ -98,10 +91,11 @@ func (s *Server) handleEstimateBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	snap := model.Current()
-	w.Header().Set(GenHeader, strconv.FormatInt(snap.Generation, 10))
+	rec.model, rec.generation = model.Name, snap.Generation
+	setGen(w, snap.Generation)
 	wanted := []string{snap.Primary().Name()}
 
-	// Parse everything up front under one span; a parse failure costs its
+	// Parse everything up front as one stage; a parse failure costs its
 	// item nothing but the error string.
 	type workItem struct {
 		idx int
@@ -110,7 +104,8 @@ func (s *Server) handleEstimateBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	items := make([]batchItemResponse, len(req.Queries))
 	work := make([]workItem, 0, len(req.Queries))
-	psp := tr.Root().Start("parse")
+	parseStart := time.Now()
+	var kb [256]byte
 	for i, text := range req.Queries {
 		items[i].Query = text
 		if strings.TrimSpace(text) == "" {
@@ -123,12 +118,10 @@ func (s *Server) handleEstimateBatch(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		items[i].Query = q.String()
-		key := fmt.Sprintf("%s\x00%d\x00%s\x00%s",
-			model.Name, snap.Generation, strings.Join(wanted, ","), q.CanonicalKey())
+		key := string(appendCacheKey(kb[:0], model.Name, snap.Generation, wanted, q))
 		work = append(work, workItem{idx: i, key: key, q: q})
 	}
-	psp.Set(obs.Int("items", len(req.Queries)), obs.Int("parsed", len(work)))
-	psp.End()
+	rec.stages[stageParse] = time.Since(parseStart)
 
 	// Same-shape queries share a canonical-key prefix (tables, joins, and
 	// predicated attributes precede predicate values), so key order is
@@ -153,7 +146,7 @@ func (s *Server) handleEstimateBatch(w http.ResponseWriter, r *http.Request) {
 					return
 				}
 				it := work[n]
-				s.estimateBatchItem(ctx, snap, wanted, it.key, it.q, &items[it.idx])
+				s.estimateBatchItem(r.Context(), rec.start, snap, wanted, it.key, it.q, &items[it.idx])
 			}
 		}()
 	}
@@ -170,18 +163,14 @@ func (s *Server) handleEstimateBatch(w http.ResponseWriter, r *http.Request) {
 		Generation:    snap.Generation,
 		Items:         items,
 		Failed:        failed,
-		LatencyMicros: time.Since(started).Microseconds(),
+		LatencyMicros: time.Since(rec.start).Microseconds(),
 	}
-	s.metrics.ObserveRequest(time.Since(started))
 	s.metrics.ObserveBatch(len(items), failed)
-	s.journalEvent(r.Context(), "batch", http.StatusOK, failed > 0, started, func(ev *obs.Event) {
-		ev.Model = model.Name
-		ev.Generation = snap.Generation
-		ev.Items = len(items)
-		if failed > 0 {
-			ev.Error = fmt.Sprintf("%d of %d items failed", failed, len(items))
-		}
-	})
+	rec.items = len(items)
+	if failed > 0 {
+		rec.degraded = true
+		rec.errMsg = fmt.Sprintf("%d of %d items failed", failed, len(items))
+	}
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -189,10 +178,10 @@ func (s *Server) handleEstimateBatch(w http.ResponseWriter, r *http.Request) {
 // cache; the miss path passes admission control and runs the primary
 // estimator's degradation chain, identical to a single request asking for
 // the primary only.
-func (s *Server) estimateBatchItem(ctx context.Context, snap *Snapshot, wanted []string, key string, q *query.Query, item *batchItemResponse) {
+func (s *Server) estimateBatchItem(ctx context.Context, start time.Time, snap *Snapshot, wanted []string, key string, q *query.Query, item *batchItemResponse) {
 	itemStart := time.Now()
 	val, hit, deduped, err := s.cache.Do(key, func() (any, error) {
-		return s.estimateMiss(ctx, snap, wanted, q, "")
+		return s.estimateMiss(ctx, start, snap, wanted, q, "")
 	})
 	item.Cache = cacheInfo{Hit: hit, Deduped: deduped}
 	item.Micros = time.Since(itemStart).Microseconds()

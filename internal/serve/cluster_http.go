@@ -97,7 +97,7 @@ func (s *Server) handleSnapshotGet(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if snap.Generation <= after {
-			w.Header().Set(GenHeader, strconv.FormatInt(snap.Generation, 10))
+			setGen(w, snap.Generation)
 			w.WriteHeader(http.StatusNotModified)
 			return
 		}
@@ -109,7 +109,7 @@ func (s *Server) handleSnapshotGet(w http.ResponseWriter, r *http.Request) {
 	}
 	frame := store.Frame(buf.Bytes())
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set(GenHeader, strconv.FormatInt(snap.Generation, 10))
+	setGen(w, snap.Generation)
 	w.Header().Set(ModelHeader, name)
 	if err := faults.Inject("serve.snapshot.stream"); err != nil {
 		// Torn-stream injection: half the frame, no Content-Length, so
@@ -166,7 +166,7 @@ func (s *Server) handleSnapshotLoad(w http.ResponseWriter, r *http.Request) {
 	snap, err := m.AdoptRemote(prm, gen)
 	if err != nil {
 		if cur := m.Current(); cur != nil {
-			w.Header().Set(GenHeader, strconv.FormatInt(cur.Generation, 10))
+			setGen(w, cur.Generation)
 		}
 		switch {
 		case errors.Is(err, ErrStaleGeneration), errors.Is(err, ErrNotAdoptable):
@@ -176,7 +176,7 @@ func (s *Server) handleSnapshotLoad(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	w.Header().Set(GenHeader, strconv.FormatInt(snap.Generation, 10))
+	setGen(w, snap.Generation)
 	s.logf("serve: model %s adopted remote snapshot generation %d", name, snap.Generation)
 	writeJSON(w, http.StatusOK, map[string]any{
 		"model":      name,

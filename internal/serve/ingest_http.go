@@ -10,7 +10,6 @@ import (
 
 	"prmsel/internal/dataset"
 	"prmsel/internal/ingest"
-	"prmsel/internal/obs"
 	"prmsel/internal/resilience"
 	"prmsel/internal/store"
 )
@@ -93,19 +92,13 @@ func attrNames(t *dataset.Table) []string {
 // acknowledged — fsynced in the log; they survive a crash and reach the
 // served model at the next refit.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	started := time.Now()
-	var model *Model
-	// reject counts the refusal, answers it, and journals the wide event
-	// (rejects are errors, so the journal always keeps them).
+	rec := recordOf(w)
+	rec.kind = kindIngest
+	// reject counts the refusal and answers it (rejects are errors, so
+	// the journal always keeps them).
 	reject := func(code int, msg string) {
 		s.metrics.ObserveIngestReject()
 		s.fail(w, code, msg)
-		s.journalEvent(r.Context(), "ingest", code, false, started, func(ev *obs.Event) {
-			if model != nil {
-				ev.Model = model.Name
-			}
-			ev.Error = msg
-		})
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	var req ingestRequest
@@ -127,10 +120,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		reject(http.StatusBadRequest, fmt.Sprintf("batch of %d rows exceeds the %d-row limit", len(rows), ingest.MaxBatchRows))
 		return
 	}
-	var ok bool
-	model, ok = s.resolveModel(req.Model)
+	model, ok := s.resolveModel(req.Model)
 	if !ok {
-		model = nil
 		if req.Model == "" {
 			reject(http.StatusBadRequest, `"model" is required when several models are registered`)
 		} else {
@@ -138,6 +129,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
+	rec.model = model.Name
 	ing := model.ingestor()
 	if ing == nil {
 		reject(http.StatusConflict, fmt.Sprintf("model %q does not accept ingest (enable it with -ingest)", model.Name))
@@ -194,10 +186,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	pending, _, _ := ing.Pending()
-	s.journalEvent(r.Context(), "ingest", http.StatusOK, false, started, func(ev *obs.Event) {
-		ev.Model = model.Name
-		ev.Items = len(batch)
-	})
+	rec.items = len(batch)
 	writeJSON(w, http.StatusOK, map[string]any{
 		"model":        model.Name,
 		"accepted":     len(batch),

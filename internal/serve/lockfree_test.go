@@ -253,12 +253,13 @@ func TestEstimateCachedHitTakesNoServeLock(t *testing.T) {
 }
 
 // hitPathAllocs pins the allocations of one warm cached estimate through
-// Server.Handler, the client's httptest request and recorder included, at
-// the count measured once the request deadline ran in the request's own
-// goroutine, hits answered from the pre-rendered reply, and the trace id
-// went out in one header. A per-request goroutine hand-off or a per-hit
-// re-encode adds allocations and fails TestEstimateHitPathAllocs.
-const hitPathAllocs = 86
+// Server.Handler with go1.24, the client's httptest request and recorder
+// included, at the count measured once a hit kept one record and no span
+// tree, took no deadline timer, lexed its query without a token list, and
+// built its key in one buffer. A per-request span tree, context copy, log
+// line or per-hit re-encode adds allocations and fails
+// TestEstimateHitPathAllocs.
+const hitPathAllocs = 41
 
 // TestEstimateHitPathAllocs guards the whole served hit path: routing,
 // deadline, logging, decode, parse, cache probe, reply, and bookkeeping.
@@ -424,5 +425,37 @@ func TestCacheResizeKeepsServing(t *testing.T) {
 	}
 	if n := c.Len(); n > 4096 {
 		t.Errorf("Len() = %d after growing, want <= 4096", n)
+	}
+}
+
+// BenchmarkEstimateHit serves a warm census cache hit — a three-predicate
+// point query, the shape of the served benchmark's hot_hits workload —
+// through Server.Handler, client recorder included, and reports its
+// allocations next to TestEstimateHitPathAllocs' pin.
+func BenchmarkEstimateHit(b *testing.B) {
+	reg := NewRegistry()
+	if _, err := reg.Add("census", BuildSpec{Dataset: "census", Rows: 2000}); err != nil {
+		b.Fatal(err)
+	}
+	h := NewServer(Config{
+		Registry:        reg,
+		DisableBrownout: true,
+		Logger:          slog.New(slog.NewTextHandler(io.Discard, nil)),
+	}).Handler()
+	const body = `{"query":"FROM Census c WHERE c.Age = age3 AND c.Sex = sex0 AND c.Income = inc1"}`
+	serve := func() *httptest.ResponseRecorder {
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest("POST", "/v1/estimate", strings.NewReader(body)))
+		return rr
+	}
+	if rr := serve(); rr.Code != 200 {
+		b.Fatalf("warmup = %d: %s", rr.Code, rr.Body)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if rr := serve(); rr.Code != 200 {
+			b.Fatalf("cached hit = %d: %s", rr.Code, rr.Body)
+		}
 	}
 }

@@ -76,10 +76,9 @@ type Metrics struct {
 	// journal on sampled requests.
 	latency *obs.Histogram
 
-	// Per-stage latency histograms over the estimate pipeline, keyed by
-	// span name (see stageNames). The map is fixed at construction; the
-	// histograms themselves are lock-striped atomics.
-	stages map[string]*obs.Histogram
+	// Per-stage latency histograms over the estimate pipeline, indexed by
+	// stage (see stageNames); the histograms are lock-striped atomics.
+	stages [numStages]*obs.Histogram
 
 	// Estimation error vs. the exact executor, on sampled requests.
 	// Recording is lock-free so an error burst never contends with the
@@ -98,13 +97,25 @@ type Metrics struct {
 // the ring index is a mask.
 const qerrWindow = 1024
 
-// stageNames are the estimate-pipeline stages with their own latency
-// histograms: query parsing, the cache lookup (including singleflight
-// waits), the shape-cache/closure build, variable elimination, the exact
-// executor on sampled requests, and incremental refits. They match the
-// span names the request trace produces, so ObserveStage can be fed by
-// walking a finished trace.
-var stageNames = []string{"parse", "cache", "closure", "infer", "exact", "refit"}
+// The estimate-pipeline stages with their own latency histograms: query
+// parsing, the cache lookup (including singleflight waits), the
+// shape-cache/closure build, variable elimination, the exact executor on
+// sampled requests, and incremental refits. Parse, cache and exact are
+// timed in a request's record; closure and infer come from a cache miss's
+// spans (observeInference), refit from ObserveRefit.
+const (
+	stageParse = iota
+	stageCache
+	stageClosure
+	stageInfer
+	stageExact
+	stageRefit
+	numStages
+)
+
+// stageNames label the stage histograms and the journal's stages; closure
+// and infer are also the PRM's span names.
+var stageNames = [numStages]string{"parse", "cache", "closure", "infer", "exact", "refit"}
 
 // NewMetrics returns zeroed metrics anchored at now, on a fresh registry.
 func NewMetrics() *Metrics {
@@ -165,12 +176,11 @@ func NewMetricsOn(reg *obs.Registry) *Metrics {
 
 		latency: reg.Histogram("prm_request_latency_seconds",
 			"End-to-end /v1/estimate latency.", latencyBoundsSeconds),
-		stages: make(map[string]*obs.Histogram, len(stageNames)),
 	}
 	stageVec := reg.HistogramVec("prm_stage_latency_seconds",
 		"Estimate-pipeline stage latency by span name.", latencyBoundsSeconds, "stage")
-	for _, name := range stageNames {
-		m.stages[name] = stageVec.With(name)
+	for i, name := range stageNames {
+		m.stages[i] = stageVec.With(name)
 	}
 
 	reg.GaugeFunc("prm_uptime_seconds", "Seconds since this metrics instance was created.",
@@ -188,12 +198,9 @@ func NewMetricsOn(reg *obs.Registry) *Metrics {
 // renders it, and the server hangs scrape-time gauges off it.
 func (m *Metrics) Registry() *obs.Registry { return m.reg }
 
-// ObserveStage records one stage latency. Unknown stage names are ignored,
-// so callers may feed every span of a trace without filtering.
-func (m *Metrics) ObserveStage(stage string, d time.Duration) {
-	if h, ok := m.stages[stage]; ok {
-		h.Observe(d.Seconds())
-	}
+// ObserveStage records one latency of a stage (a stage* constant).
+func (m *Metrics) ObserveStage(stage int, d time.Duration) {
+	m.stages[stage].Observe(d.Seconds())
 }
 
 // ObserveRequest records one estimate request and its latency.
@@ -304,7 +311,7 @@ func (m *Metrics) ObserveRefit(d time.Duration, err error) {
 		return
 	}
 	m.refits.Inc()
-	m.ObserveStage("refit", d)
+	m.ObserveStage(stageRefit, d)
 }
 
 // ObserveFeedback records one /v1/feedback ground-truth report.
@@ -434,12 +441,12 @@ func (m *Metrics) Snapshot() map[string]any {
 		"latency_obs":        lat.Count,
 	}
 	stages := make(map[string]any, len(m.stages))
-	for name, h := range m.stages {
+	for i, h := range m.stages {
 		snap := h.Snapshot()
 		if snap.Count == 0 {
 			continue
 		}
-		stages[name] = map[string]any{
+		stages[stageNames[i]] = map[string]any{
 			"obs":        snap.Count,
 			"us_mean":    meanMicros(snap),
 			"us_buckets": histMap(snap),

@@ -188,55 +188,106 @@ func (b *lockedBuf) String() string {
 	return b.buf.String()
 }
 
-// TestRequestLogging: every request gets an X-PRM-Trace header and one
-// structured log record carrying the same id.
+// TestRequestLogging: the access log is the journal's sample. Every
+// request gets an X-PRM-Trace header; a request the journal keeps — an
+// error, a request slower than SlowThreshold, a sampled success — writes
+// exactly one record whose trace_id is that header and the journal
+// event's id, and an ordinary success the journal does not keep writes
+// none. With the journal disabled, errors are still logged.
 func TestRequestLogging(t *testing.T) {
-	var buf lockedBuf
-	srv := NewServer(Config{
-		Registry: fig1Registry(t),
-		Logger:   slog.New(slog.NewJSONHandler(&buf, nil)),
-	})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	resp, err := http.Post(ts.URL+"/v1/estimate", "application/json",
-		strings.NewReader(`{"query":"FROM People p WHERE p.Income = low"}`))
-	if err != nil {
-		t.Fatal(err)
+	const ok = `{"query":"FROM People p WHERE p.Income = low"}`
+	const bad = `{"query":"FROM Nope n WHERE n.X = y"}`
+	type logged struct {
+		srv *Server
+		h   http.Handler
+		buf *lockedBuf
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	id := resp.Header.Get("X-PRM-Trace")
-	if len(id) != 16 {
-		t.Fatalf("X-PRM-Trace = %q, want 16 hex chars", id)
+	start := func(cfg Config) logged {
+		buf := &lockedBuf{}
+		cfg.Registry = fig1Registry(t)
+		cfg.Logger = slog.New(slog.NewJSONHandler(buf, nil))
+		cfg.DisableBrownout = true
+		srv := NewServer(cfg)
+		return logged{srv: srv, h: srv.Handler(), buf: buf}
 	}
-	if got := resp.Header.Get("X-Trace-Id"); got != "" {
-		t.Fatalf("X-Trace-Id = %q, want no such header", got)
-	}
-
-	// The log record is written after the response body; poll briefly.
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if strings.Contains(buf.String(), id) {
-			break
+	// post serves one estimate and returns its trace id with the records
+	// the request logged; the middleware logs before ServeHTTP returns.
+	post := func(l logged, body string, wantStatus int) (string, []map[string]any) {
+		t.Helper()
+		before := len(l.buf.String())
+		rr := httptest.NewRecorder()
+		l.h.ServeHTTP(rr, httptest.NewRequest("POST", "/v1/estimate", strings.NewReader(body)))
+		if rr.Code != wantStatus {
+			t.Fatalf("status = %d, want %d: %s", rr.Code, wantStatus, rr.Body)
 		}
-		time.Sleep(5 * time.Millisecond)
+		id := rr.Header().Get("X-PRM-Trace")
+		if len(id) != 16 {
+			t.Fatalf("X-PRM-Trace = %q, want 16 hex chars", id)
+		}
+		if got := rr.Header().Get("X-Trace-Id"); got != "" {
+			t.Fatalf("X-Trace-Id = %q, want no such header", got)
+		}
+		var recs []map[string]any
+		for _, line := range strings.Split(l.buf.String()[before:], "\n") {
+			if line == "" {
+				continue
+			}
+			var rec map[string]any
+			if err := json.Unmarshal([]byte(line), &rec); err != nil {
+				t.Fatalf("log line not JSON: %v\n%s", err, line)
+			}
+			recs = append(recs, rec)
+		}
+		return id, recs
 	}
-	logged := buf.String()
-	if !strings.Contains(logged, id) {
-		t.Fatalf("log output lacks trace id %s:\n%s", id, logged)
-	}
-	var rec map[string]any
-	line := logged[strings.Index(logged, "{"):]
-	if err := json.Unmarshal([]byte(strings.SplitN(line, "\n", 2)[0]), &rec); err != nil {
-		t.Fatalf("log line not JSON: %v\n%s", err, line)
-	}
-	for _, k := range []string{"trace_id", "method", "path", "status", "micros"} {
-		if _, ok := rec[k]; !ok {
-			t.Errorf("log record lacks %q: %v", k, rec)
+	// one checks a kept request's single record and its journal event.
+	one := func(l logged, id string, recs []map[string]any, status int, reason string) {
+		t.Helper()
+		if len(recs) != 1 {
+			t.Fatalf("kept %d request wrote %d records, want 1: %v", status, len(recs), recs)
+		}
+		rec := recs[0]
+		for _, k := range []string{"trace_id", "method", "path", "status", "bytes", "micros"} {
+			if _, ok := rec[k]; !ok {
+				t.Errorf("log record lacks %q: %v", k, rec)
+			}
+		}
+		if rec["trace_id"] != id || rec["path"] != "/v1/estimate" || rec["status"] != float64(status) {
+			t.Errorf("log record = %v, want trace_id %s, path /v1/estimate, status %d", rec, id, status)
+		}
+		if l.srv.journal == nil {
+			return
+		}
+		var ev *obs.Event
+		for _, e := range l.srv.journal.Events(0, nil) {
+			if e.TraceID == id {
+				ev = e
+			}
+		}
+		if ev == nil || obs.TraceID(ev.ID) != id || ev.Reason != reason {
+			t.Errorf("journal event for %s = %+v, want id %s and reason %q", id, ev, id, reason)
 		}
 	}
-	if rec["path"] != "/v1/estimate" || rec["status"].(float64) != 200 {
-		t.Errorf("unexpected log record: %v", rec)
+
+	idle := start(Config{SlowThreshold: time.Hour})
+	if _, recs := post(idle, ok, http.StatusOK); len(recs) != 0 {
+		t.Errorf("a 200 the journal does not keep wrote %d records: %v", len(recs), recs)
 	}
+	id, recs := post(idle, bad, http.StatusBadRequest)
+	one(idle, id, recs, http.StatusBadRequest, obs.SampleError)
+
+	slow := start(Config{SlowThreshold: time.Microsecond})
+	id, recs = post(slow, ok, http.StatusOK)
+	one(slow, id, recs, http.StatusOK, obs.SampleSlow)
+
+	every := start(Config{SlowThreshold: time.Hour, JournalSampleEvery: 1})
+	id, recs = post(every, ok, http.StatusOK)
+	one(every, id, recs, http.StatusOK, obs.SampleUniform)
+
+	off := start(Config{DisableJournal: true})
+	if _, recs := post(off, ok, http.StatusOK); len(recs) != 0 {
+		t.Errorf("a 200 with the journal disabled wrote %d records: %v", len(recs), recs)
+	}
+	id, recs = post(off, bad, http.StatusBadRequest)
+	one(off, id, recs, http.StatusBadRequest, "")
 }

@@ -213,10 +213,32 @@ type Snapshot struct {
 	// snapshot's dataset was cloned; MarkPublished uses it to settle the
 	// pending-row ledger after a full rebuild.
 	appliedAt int64
+
+	defaultsOnce sync.Once
+	defaults     []string // see defaultEstimators
 }
 
 // Primary returns the headline estimator (the PRM).
 func (s *Snapshot) Primary() baselines.Estimator { return s.Estimators[0] }
+
+// defaultEstimators is the selection of a request that names no
+// estimators: every estimator, primary first, then sorted by name. It is
+// built on first use and shared by every request on the snapshot, which
+// must not modify it.
+func (s *Snapshot) defaultEstimators() []string {
+	s.defaultsOnce.Do(func() {
+		primary := s.Primary().Name()
+		rest := make([]string, 0, len(s.Estimators)-1)
+		for _, e := range s.Estimators {
+			if e.Name() != primary {
+				rest = append(rest, e.Name())
+			}
+		}
+		sort.Strings(rest)
+		s.defaults = append([]string{primary}, rest...)
+	})
+	return s.defaults
+}
 
 // Estimator returns the named estimator, or nil.
 func (s *Snapshot) Estimator(name string) baselines.Estimator {

@@ -76,8 +76,10 @@ type Config struct {
 	Metrics *Metrics
 	// Logf logs service events (rebuild outcomes); log.Printf when nil.
 	Logf func(format string, args ...any)
-	// Logger receives one structured record per request (trace id, method,
-	// path, status, latency); slog.Default() when nil.
+	// Logger receives the access line (trace id, method, path, status,
+	// bytes, latency) of every error and of every success the request
+	// journal keeps: degraded answers, slow requests and 1 in
+	// JournalSampleEvery others. slog.Default() when nil.
 	Logger *slog.Logger
 	// JournalSize bounds the request journal ring (default 1024 events,
 	// rounded up to a power of two).
@@ -123,8 +125,14 @@ type Config struct {
 // GenHeader is the response header carrying the serving model
 // generation. The cluster gate pins rolling rollouts on it and
 // operators use it to attribute a response to a model version during
-// mixed-generation windows.
-const GenHeader = "X-PRM-Gen"
+// mixed-generation windows. It is spelled in canonical form, so setGen
+// writes it without re-canonicalizing.
+const GenHeader = "X-Prm-Gen"
+
+// setGen stamps the serving generation on a response.
+func setGen(w http.ResponseWriter, gen int64) {
+	w.Header()[GenHeader] = []string{strconv.FormatInt(gen, 10)}
+}
 
 // Server is the estimation service.
 type Server struct {
@@ -264,17 +272,20 @@ func (s *Server) Close() {
 // already in flight are unaffected. Idempotent.
 func (s *Server) StartDrain() { s.draining.Store(true) }
 
-// Handler returns the service's HTTP handler, wrapped in structured
-// request logging. The versioned JSON API and health run under the
-// per-request deadline (Config.RequestTimeout); readiness,
+// Handler returns the service's HTTP handler, wrapped in the per-request
+// record (see logging). The versioned JSON API and health run under the
+// per-request deadline (Config.RequestTimeout): the estimate routes
+// derive it, measured from the request's start, only around a cache
+// miss's admission wait and inference (see estimateMiss), so a hit never
+// pays for a timer; the other routes run under withDeadline. Readiness,
 // metrics, the request journal, and the pprof endpoints sit outside it (a
 // readiness probe must answer even when the request path is saturated, and
 // a 30-second CPU profile must not be killed by the deadline).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	api := func(pattern string, h http.HandlerFunc) { mux.Handle(pattern, s.withDeadline(h)) }
-	api("POST /v1/estimate", s.handleEstimate)
-	api("POST /v1/estimate/batch", s.handleEstimateBatch)
+	mux.HandleFunc("POST /v1/estimate", s.handleEstimate)
+	mux.HandleFunc("POST /v1/estimate/batch", s.handleEstimateBatch)
 	api("POST /v1/ingest", s.handleIngest)
 	api("POST /v1/feedback", s.handleFeedback)
 	api("GET /v1/models", s.handleModels)
@@ -296,9 +307,10 @@ func (s *Server) Handler() http.Handler {
 
 // withDeadline runs h in the request's own goroutine under a context that
 // expires after Config.RequestTimeout. Handlers turn the expired context
-// into their own structured answer: an estimate stops inference between
-// elimination steps and answers 503, and a write that finished anyway
-// reports what it did rather than a timeout.
+// into their own structured answer: a feedback recomputation stops
+// inference between elimination steps, and a write that finished anyway
+// reports what it did rather than a timeout. The estimate routes derive
+// their deadline only on a cache miss (estimateMiss).
 func (s *Server) withDeadline(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
@@ -307,72 +319,26 @@ func (s *Server) withDeadline(h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// logging assigns every request a trace id — the journal's event id,
-// echoed in the X-PRM-Trace response header and stamped on the
-// structured log record, so a log line, a journal entry, and a
-// histogram exemplar join on one id. It logs every request's real status
-// and feeds the SLO engine's availability and latency objectives.
+// logging wraps every request in its record (see reqRecord) and assigns
+// it a trace id — the journal's event id, echoed in the X-Prm-Trace
+// response header — so the access line, the journal entry, and the
+// histogram exemplar of a kept request join on one id. finish runs even
+// when the handler panics, recording the request as the 500 it becomes.
 func (s *Server) logging(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		started := time.Now()
-		id := s.journal.NextID()
-		tid := obs.TraceID(id)
-		w.Header().Set("X-PRM-Trace", tid)
-		r = r.WithContext(context.WithValue(r.Context(), traceIDKey{}, id))
-		sw := &statusWriter{ResponseWriter: w}
-		next.ServeHTTP(sw, r)
-		status := sw.status
-		if status == 0 {
-			status = http.StatusOK
-		}
-		d := time.Since(started)
-		if strings.HasPrefix(r.URL.Path, "/v1/") {
-			// Protective rejections (shed, breaker-open, admission pushback)
-			// carry a Retry-After header. They are the server defending its
-			// SLO, not violating it, so they stay out of the error budget —
-			// counting them would hold the burn rate up through the very
-			// shedding meant to bring it down, and the brownout would never
-			// release (positive feedback).
-			protective := sw.Header().Get("Retry-After") != ""
-			if !protective {
-				s.slo.Observe(sloErrors, status < 500)
-				if strings.HasPrefix(r.URL.Path, "/v1/estimate") {
-					s.slo.Observe(sloLatency, status < 500 && d <= s.cfg.SLOLatency)
-				}
+		rec := &reqRecord{ResponseWriter: w, id: s.journal.NextID(), start: time.Now()}
+		rec.traceID = obs.TraceID(rec.id)
+		w.Header()[traceHeader] = []string{rec.traceID}
+		returned := false
+		defer func() {
+			if !returned {
+				rec.status = http.StatusInternalServerError
 			}
-		}
-		s.logger.LogAttrs(r.Context(), slog.LevelInfo, "request",
-			slog.String("trace_id", tid),
-			slog.String("method", r.Method),
-			slog.String("path", r.URL.Path),
-			slog.Int("status", status),
-			slog.Int("bytes", sw.bytes),
-			slog.Int64("micros", d.Microseconds()),
-		)
+			s.finish(rec, r)
+		}()
+		next.ServeHTTP(rec, r)
+		returned = true
 	})
-}
-
-// statusWriter captures the status code and body size for the request log.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-	bytes  int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if w.status == 0 {
-		w.status = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(b []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
-	}
-	n, err := w.ResponseWriter.Write(b)
-	w.bytes += n
-	return n, err
 }
 
 // estimateRequest is the POST /v1/estimate body.
@@ -499,21 +465,14 @@ func (e *nonFiniteError) Error() string {
 }
 
 func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
-	started := time.Now()
-	// Every estimate request is traced: the finished span tree feeds the
-	// per-stage latency histograms, and ?trace=1 additionally returns it.
-	tr := obs.NewTracer("request")
-	ctx := obs.NewContext(r.Context(), tr.Root())
-	jd := &estimateDraft{}
-	defer func() {
-		tr.End()
-		tr.Root().Visit(s.metrics.ObserveStage)
-		s.finishEstimate(r.Context(), jd, started, tr)
-	}()
-	// fail routes every error through the journal draft on its way out.
-	fail := func(code int, msg string) {
-		jd.status, jd.errMsg = code, msg
-		s.fail(w, code, msg)
+	rec := recordOf(w)
+	rec.kind = kindEstimate
+	// ?trace=1 builds the request's span tree and returns it; otherwise
+	// root is nil and every span call below is a no-op.
+	trace := r.URL.RawQuery != "" && r.URL.Query().Get("trace") == "1"
+	var root *obs.Span
+	if trace {
+		root = obs.NewTracer("request").Root()
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	var req estimateRequest
@@ -522,71 +481,70 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	if err := dec.Decode(&req); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			fail(http.StatusRequestEntityTooLarge, fmt.Sprintf("request body over %d bytes", tooBig.Limit))
+			s.fail(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body over %d bytes", tooBig.Limit))
 			return
 		}
-		fail(http.StatusBadRequest, "malformed JSON: "+err.Error())
+		s.fail(w, http.StatusBadRequest, "malformed JSON: "+err.Error())
 		return
 	}
-	jd.query = req.Query
+	rec.query = req.Query
 	if strings.TrimSpace(req.Query) == "" {
-		fail(http.StatusBadRequest, `"query" is required`)
+		s.fail(w, http.StatusBadRequest, `"query" is required`)
 		return
 	}
 
 	model, ok := s.resolveModel(req.Model)
 	if !ok {
 		if req.Model == "" {
-			fail(http.StatusBadRequest, `"model" is required when several models are registered`)
+			s.fail(w, http.StatusBadRequest, `"model" is required when several models are registered`)
 		} else {
-			fail(http.StatusNotFound, fmt.Sprintf("unknown model %q", req.Model))
+			s.fail(w, http.StatusNotFound, fmt.Sprintf("unknown model %q", req.Model))
 		}
 		return
 	}
 	snap := model.Current()
-	jd.model, jd.generation = model.Name, snap.Generation
-	w.Header().Set(GenHeader, strconv.FormatInt(snap.Generation, 10))
+	rec.model, rec.generation = model.Name, snap.Generation
+	setGen(w, snap.Generation)
 
-	psp := tr.Root().Start("parse")
+	parseStart := time.Now()
+	psp := root.Start("parse")
 	q, err := queryparse.Parse(snap.DB, req.Query)
 	psp.End()
+	rec.stages[stageParse] = time.Since(parseStart)
 	if err != nil {
-		jd.status, jd.errMsg = http.StatusBadRequest, err.Error()
 		s.failParse(w, err)
 		return
 	}
 
 	wanted, err := selectEstimators(snap, req.Estimators)
 	if err != nil {
-		fail(http.StatusBadRequest, err.Error())
+		s.fail(w, http.StatusBadRequest, err.Error())
 		return
 	}
+	var kb [256]byte
+	key := string(appendCacheKey(kb[:0], model.Name, snap.Generation, wanted, q))
 
-	// Cache key: model generation + estimator selection + canonical
-	// query. Including the generation makes hot-swaps self-invalidating —
-	// entries of the old generation simply stop being looked up and age
-	// out of the LRU.
-	key := fmt.Sprintf("%s\x00%d\x00%s\x00%s",
-		model.Name, snap.Generation, strings.Join(wanted, ","), q.CanonicalKey())
-
-	cctx, csp := obs.Start(ctx, "cache")
+	cacheStart := time.Now()
+	csp := root.Start("cache")
 	val, hit, deduped, err := s.cache.Do(key, func() (any, error) {
-		return s.estimateMiss(cctx, snap, wanted, q, model.Name)
+		return s.estimateMiss(obs.NewContext(r.Context(), csp), rec.start, snap, wanted, q, model.Name)
 	})
-	csp.Set(obs.Bool("hit", hit), obs.Bool("deduped", deduped))
+	if csp != nil {
+		csp.Set(obs.Bool("hit", hit), obs.Bool("deduped", deduped))
+	}
 	csp.End()
+	rec.stages[stageCache] = time.Since(cacheStart)
 	s.metrics.ObserveCache(hit, deduped)
-	jd.cache = "miss"
+	rec.cache = "miss"
 	if hit {
-		jd.cache = "hit"
+		rec.cache = "hit"
 	} else if deduped {
-		jd.cache = "deduped"
+		rec.cache = "deduped"
 	}
 	if err != nil {
-		jd.status, jd.errMsg = 0, err.Error()
+		rec.errMsg = err.Error()
 		switch {
 		case errors.Is(err, ErrShed):
-			jd.status = http.StatusServiceUnavailable
 			setRetryAfter(w, s.res.retryAfter())
 			writeJSON(w, http.StatusServiceUnavailable, map[string]any{
 				"error":  err.Error(),
@@ -595,7 +553,6 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 			return
 		case errors.Is(err, ErrQueueFull):
 			s.metrics.ObserveAdmission(false)
-			jd.status = http.StatusTooManyRequests
 			setRetryAfter(w, time.Second)
 			writeJSON(w, http.StatusTooManyRequests, map[string]any{
 				"error":  err.Error(),
@@ -604,7 +561,6 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 			return
 		case errors.Is(err, ErrQueueTimeout):
 			s.metrics.ObserveAdmission(true)
-			jd.status = http.StatusServiceUnavailable
 			setRetryAfter(w, s.cfg.QueueTimeout)
 			writeJSON(w, http.StatusServiceUnavailable, map[string]any{
 				"error":  err.Error(),
@@ -616,39 +572,36 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		var nf *nonFiniteError
 		if errors.As(err, &nf) {
 			s.metrics.ObserveNonFinite()
-			fail(http.StatusInternalServerError, err.Error())
+			s.fail(w, http.StatusInternalServerError, err.Error())
 			return
 		}
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			// The client went away (or the request deadline fired) while
 			// inference was running; report it as an availability failure
 			// rather than a query problem.
-			jd.status = http.StatusServiceUnavailable
 			writeJSON(w, http.StatusServiceUnavailable, map[string]any{
 				"error":  err.Error(),
 				"reason": "request cancelled before inference finished",
 			})
 			return
 		}
-		fail(http.StatusUnprocessableEntity, err.Error())
+		s.fail(w, http.StatusUnprocessableEntity, err.Error())
 		return
 	}
 	ce := val.(*cachedEstimate)
-	jd.query, jd.tier = ce.query, ce.tier
+	rec.query, rec.tier = ce.query, ce.tier
+	rec.degraded = ce.tier != string(core.TierExact)
 	c := cacheInfo{Hit: hit, Deduped: deduped}
 
-	seq := s.reqSeq.Add(1)
-	sampled := s.cfg.ExactEvery > 0 && seq%int64(s.cfg.ExactEvery) == 0
-	trace := r.URL.RawQuery != "" && r.URL.Query().Get("trace") == "1"
+	sampled := s.cfg.ExactEvery > 0 && s.reqSeq.Add(1)%int64(s.cfg.ExactEvery) == 0
 	if ce.reply != nil && !req.Exact && !sampled && !trace {
 		// A plain answer: the entry's pre-rendered reply plus this
 		// request's cache outcome and latency.
-		jd.status = http.StatusOK
 		// Room for the tail: replyTail's length plus 20 latency digits.
 		b := append(make([]byte, 0, len(ce.reply)+len(replyTail)+20), ce.reply...)
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusOK)
-		w.Write(appendReplyTail(b, c, time.Since(started).Microseconds()))
+		w.Write(appendReplyTail(b, c, time.Since(rec.start).Microseconds()))
 		return
 	}
 	resp := ce.response(model.Name, snap.Generation, c)
@@ -656,27 +609,27 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	// Ground truth: on request, or on the configured sampling cadence.
 	if req.Exact || sampled {
 		exactStart := time.Now()
-		esp := tr.Root().Start("exact")
+		esp := root.Start("exact")
 		truth, err := snap.DB.Count(q)
 		esp.End()
+		rec.stages[stageExact] = time.Since(exactStart)
 		if err == nil {
 			s.metrics.ObserveQError(ce.estimate, truth)
 			qe := qerror(ce.estimate, truth)
 			s.slo.Observe(sloQError, qe <= s.cfg.SLOQErrorMax)
 			resp.Exact = &exactResult{
 				Count:  truth,
-				Micros: time.Since(exactStart).Microseconds(),
+				Micros: rec.stages[stageExact].Microseconds(),
 				QError: qe,
 			}
 		}
 	}
 
-	resp.LatencyMicros = time.Since(started).Microseconds()
-	jd.status = http.StatusOK
+	resp.LatencyMicros = time.Since(rec.start).Microseconds()
 
 	if trace {
-		tr.End()
-		resp.Trace = tr.Root().Dump()
+		root.End()
+		resp.Trace = root.Dump()
 		if ex, ok := snap.Primary().(explainer); ok && len(q.NonKeyJoins) == 0 {
 			if e, err := ex.Explain(q); err == nil {
 				// The explanation walks the exact path; stamp it with the
@@ -690,6 +643,25 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// appendCacheKey appends the inference-cache key of q to b: model name,
+// generation, estimator selection and canonical query. Including the
+// generation makes hot-swaps self-invalidating — entries of the old
+// generation simply stop being looked up and age out.
+func appendCacheKey(b []byte, model string, gen int64, wanted []string, q *query.Query) []byte {
+	b = append(b, model...)
+	b = append(b, 0)
+	b = strconv.AppendInt(b, gen, 10)
+	b = append(b, 0)
+	for i, name := range wanted {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, name...)
+	}
+	b = append(b, 0)
+	return q.AppendCanonicalKey(b)
 }
 
 // explainer is the optional estimator capability behind ?trace=1's explain
@@ -716,17 +688,21 @@ type fallbackEstimator interface {
 // estimateMiss is the shared cache-miss body for single and batch
 // estimates: shed check first (a shed server still serves cache hits,
 // which never reach here), then admission, then the estimator run.
+// Both wait under the request deadline, Config.RequestTimeout after the
+// request's start; this is the only place the estimate routes derive it.
 // Answers degraded by the brownout tier ceiling come back wrapped in
 // noStore so they never enter the cache — a cached AVI answer would
 // otherwise keep serving long after the brownout released. A single
 // estimate names its model so the answer's reply is pre-rendered here,
 // before Do publishes the entry; the batch endpoint passes "" and renders
 // its own items.
-func (s *Server) estimateMiss(ctx context.Context, snap *Snapshot, wanted []string, q *query.Query, model string) (any, error) {
+func (s *Server) estimateMiss(ctx context.Context, start time.Time, snap *Snapshot, wanted []string, q *query.Query, model string) (any, error) {
 	if s.res != nil && s.res.shedding() {
 		s.res.noteShed()
 		return nil, ErrShed
 	}
+	ctx, cancel := context.WithDeadline(ctx, start.Add(s.cfg.RequestTimeout))
+	defer cancel()
 	// Admission sits on the cache-miss path only: a hit costs nothing
 	// worth queueing for, and an admission refusal is an error, so it
 	// can never be cached against the query.
@@ -736,7 +712,16 @@ func (s *Server) estimateMiss(ctx context.Context, snap *Snapshot, wanted []stri
 		}
 		defer s.adm.release(queryWeight(q))
 	}
+	// The inference spans feed the closure and infer stage histograms: a
+	// ?trace=1 request's cache span collects them, any other miss runs
+	// under a tracer of its own.
+	sp := obs.FromContext(ctx)
+	if sp == nil {
+		sp = obs.NewTracer("miss").Root()
+		ctx = obs.NewContext(ctx, sp)
+	}
 	ce, err := s.runEstimators(ctx, snap, wanted, q)
+	s.observeInference(sp)
 	if err != nil {
 		return nil, err
 	}
@@ -851,20 +836,13 @@ func degradableErr(err error) bool {
 
 // selectEstimators resolves the request's estimator filter against the
 // snapshot, always keeping the primary, and returns the names in
-// deterministic order (primary first, then sorted).
+// deterministic order (primary first, then sorted). An empty filter
+// selects every estimator: the snapshot's default list, built once.
 func selectEstimators(snap *Snapshot, filter []string) ([]string, error) {
-	primary := snap.Primary().Name()
 	if len(filter) == 0 {
-		names := []string{primary}
-		rest := make([]string, 0, len(snap.Estimators)-1)
-		for _, e := range snap.Estimators {
-			if e.Name() != primary {
-				rest = append(rest, e.Name())
-			}
-		}
-		sort.Strings(rest)
-		return append(names, rest...), nil
+		return snap.defaultEstimators(), nil
 	}
+	primary := snap.Primary().Name()
 	seen := map[string]bool{primary: true}
 	rest := make([]string, 0, len(filter))
 	for _, name := range filter {
@@ -1146,6 +1124,7 @@ func (s *Server) resolveModel(name string) (*Model, bool) {
 // which is the point of queryparse's positional errors.
 func (s *Server) failParse(w http.ResponseWriter, err error) {
 	s.metrics.ObserveError()
+	recordOf(w).errMsg = err.Error()
 	body := map[string]any{"error": err.Error()}
 	if pe := queryparse.AsParseError(err); pe != nil {
 		body["offset"] = pe.Offset
@@ -1156,10 +1135,12 @@ func (s *Server) failParse(w http.ResponseWriter, err error) {
 	writeJSON(w, http.StatusBadRequest, body)
 }
 
+// fail answers an error and notes its message on the request's record.
 func (s *Server) fail(w http.ResponseWriter, code int, msg string) {
 	if code >= 500 {
 		s.metrics.ObserveError()
 	}
+	recordOf(w).errMsg = msg
 	writeJSON(w, code, map[string]any{"error": msg})
 }
 

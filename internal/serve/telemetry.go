@@ -1,8 +1,8 @@
 package serve
 
 import (
-	"context"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"strconv"
 	"strings"
@@ -140,117 +140,167 @@ func (s *Server) handleDebugRequests(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// traceIDKey carries the request's journal id through the context.
-type traceIDKey struct{}
+// Journal kinds: the routes whose requests become wide events.
+const (
+	kindEstimate = "estimate"
+	kindBatch    = "batch"
+	kindIngest   = "ingest"
+)
 
-// traceIDFromCtx returns the request's journal id (0 when the request
-// did not pass through the logging middleware, e.g. direct handler calls
-// in tests).
-func traceIDFromCtx(ctx context.Context) uint64 {
-	id, _ := ctx.Value(traceIDKey{}).(uint64)
-	return id
-}
+// traceHeader carries the request's trace id, in canonical form so
+// setting it skips re-canonicalization.
+const traceHeader = "X-Prm-Trace"
 
-// estimateDraft accumulates what the journal wants to know about one
-// /v1/estimate request. It lives on the handler's stack and is folded
-// into an Event only if sampling keeps the request, so an unsampled
-// request costs no journal allocations at all.
-type estimateDraft struct {
-	status     int
+// reqRecord is the one record of a request. The logging middleware wraps
+// the response writer in it, handlers fill it in, and when the handler
+// returns one sampling decision turns it into the journal event, the
+// latency exemplar and the access log line — or into none of them.
+type reqRecord struct {
+	http.ResponseWriter
+	id      uint64
+	traceID string
+	start   time.Time
+	status  int
+	bytes   int
+
+	kind       string // a kind* constant; "" for routes the journal does not keep
 	model      string
 	generation int64
 	query      string
 	tier       string
 	cache      string
 	errMsg     string
+	items      int                      // batch queries or ingest rows
+	degraded   bool                     // a fallback tier answered, or batch items failed
+	stages     [numStages]time.Duration // parse, cache and exact; the rest stay zero
 }
 
-// degraded reports whether the answer came from a fallback tier.
-func (d *estimateDraft) degraded() bool {
-	return d.tier != "" && d.tier != "exact"
-}
-
-// finishEstimate closes out one estimate request: it observes the
-// request latency (with an exemplar when the journal keeps the request)
-// and records the wide event. Runs for every outcome, success or
-// failure, via the handler's deferred call.
-func (s *Server) finishEstimate(ctx context.Context, jd *estimateDraft, started time.Time, tr *obs.Tracer) {
-	d := time.Since(started)
-	if jd.status == 0 {
-		// The handler returned without writing — only possible on a panic
-		// unwinding past us; count it as a 500 for the journal.
-		jd.status = http.StatusInternalServerError
+func (rec *reqRecord) WriteHeader(code int) {
+	if rec.status == 0 {
+		rec.status = code
 	}
-	reason, keep := s.journal.Sample(jd.status, jd.degraded(), d)
-	id := traceIDFromCtx(ctx)
-	if jd.status == http.StatusOK {
-		// Request volume and latency count successes only, as they always
-		// have; errors are tracked by their own counter.
-		if keep && id != 0 {
-			s.metrics.ObserveRequestExemplar(d, obs.TraceID(id))
+	rec.ResponseWriter.WriteHeader(code)
+}
+
+func (rec *reqRecord) Write(b []byte) (int, error) {
+	if rec.status == 0 {
+		rec.status = http.StatusOK
+	}
+	n, err := rec.ResponseWriter.Write(b)
+	rec.bytes += n
+	return n, err
+}
+
+// recordOf returns the request's record: w itself under the logging
+// middleware, or a detached record nothing reads when a handler is
+// called directly.
+func recordOf(w http.ResponseWriter) *reqRecord {
+	if rec, ok := w.(*reqRecord); ok {
+		return rec
+	}
+	return &reqRecord{ResponseWriter: w, start: time.Now()}
+}
+
+// finish closes out a request once its handler returned: the SLO
+// objectives, the stage histograms, the request latency, and — for the
+// journal's kinds — the one sampling decision (errors, degraded answers,
+// slow requests, 1-in-N successes) that keeps the journal event, the
+// latency exemplar and the access line together. Requests of other
+// routes, and every request when the journal is disabled, are never
+// sampled; their errors are still logged.
+func (s *Server) finish(rec *reqRecord, r *http.Request) {
+	d := time.Since(rec.start)
+	status := rec.status
+	if status == 0 {
+		status = http.StatusOK
+	}
+	if strings.HasPrefix(r.URL.Path, "/v1/") {
+		// Protective rejections (shed, breaker-open, admission pushback)
+		// carry a Retry-After header. They are the server defending its
+		// SLO, not violating it, so they stay out of the error budget —
+		// counting them would hold the burn rate up through the very
+		// shedding meant to bring it down, and the brownout would never
+		// release (positive feedback).
+		protective := rec.Header().Get("Retry-After") != ""
+		if !protective {
+			s.slo.Observe(sloErrors, status < 500)
+			if strings.HasPrefix(r.URL.Path, "/v1/estimate") {
+				s.slo.Observe(sloLatency, status < 500 && d <= s.cfg.SLOLatency)
+			}
+		}
+	}
+	for i, sd := range rec.stages {
+		if sd > 0 { // a stage that ran took time
+			s.metrics.ObserveStage(i, sd)
+		}
+	}
+	var reason string
+	var keep bool
+	if rec.kind != "" {
+		reason, keep = s.journal.Sample(status, rec.degraded, d)
+	}
+	if status == http.StatusOK && (rec.kind == kindEstimate || rec.kind == kindBatch) {
+		// Request volume and latency count successes only; errors are
+		// tracked by their own counter.
+		if keep {
+			s.metrics.ObserveRequestExemplar(d, rec.traceID)
 		} else {
 			s.metrics.ObserveRequest(d)
 		}
 	}
-	if !keep {
-		return
+	if keep {
+		s.journal.Record(rec.event(status, d, reason))
 	}
+	if keep || status >= 400 {
+		s.logger.LogAttrs(r.Context(), slog.LevelInfo, "request",
+			slog.String("trace_id", rec.traceID),
+			slog.String("method", r.Method),
+			slog.String("path", r.URL.Path),
+			slog.Int("status", status),
+			slog.Int("bytes", rec.bytes),
+			slog.Int64("micros", d.Microseconds()),
+		)
+	}
+}
+
+// event renders the record as the journal's wide event.
+func (rec *reqRecord) event(status int, d time.Duration, reason string) *obs.Event {
 	ev := &obs.Event{
-		ID:         id,
-		TraceID:    obs.TraceID(id),
-		Time:       started,
-		Kind:       "estimate",
-		Model:      jd.model,
-		Generation: jd.generation,
-		Query:      jd.query,
-		Status:     jd.status,
-		Tier:       jd.tier,
-		Cache:      jd.cache,
-		Error:      jd.errMsg,
+		ID:         rec.id,
+		TraceID:    rec.traceID,
+		Time:       rec.start,
+		Kind:       rec.kind,
+		Model:      rec.model,
+		Generation: rec.generation,
+		Query:      rec.query,
+		Status:     status,
+		Tier:       rec.tier,
+		Cache:      rec.cache,
+		Error:      rec.errMsg,
+		Items:      rec.items,
 		Micros:     d.Microseconds(),
-		Stages:     stageTimings(tr),
 		Reason:     reason,
 	}
-	s.journal.Record(ev)
+	for i, sd := range rec.stages {
+		if sd > 0 {
+			ev.Stages = append(ev.Stages, obs.Stage{Name: stageNames[i], Micros: sd.Microseconds()})
+		}
+	}
+	return ev
 }
 
-// stageTimings flattens a finished request trace into the journal's
-// per-stage timing list (top-level stages only; nested inference spans
-// stay in ?trace=1).
-func stageTimings(tr *obs.Tracer) []obs.Stage {
-	dump := tr.Root().Dump()
-	if dump == nil || len(dump.Children) == 0 {
-		return nil
-	}
-	out := make([]obs.Stage, 0, len(dump.Children))
-	for _, c := range dump.Children {
-		out = append(out, obs.Stage{Name: c.Name, Micros: c.DurationMicros})
-	}
-	return out
-}
-
-// journalEvent records a non-estimate wide event (batch, ingest) when
-// sampling keeps it. fill adds the kind-specific fields.
-func (s *Server) journalEvent(ctx context.Context, kind string, status int, degraded bool, started time.Time, fill func(*obs.Event)) {
-	d := time.Since(started)
-	reason, keep := s.journal.Sample(status, degraded, d)
-	if !keep {
-		return
-	}
-	id := traceIDFromCtx(ctx)
-	ev := &obs.Event{
-		ID:      id,
-		TraceID: obs.TraceID(id),
-		Time:    started,
-		Kind:    kind,
-		Status:  status,
-		Micros:  d.Microseconds(),
-		Reason:  reason,
-	}
-	if fill != nil {
-		fill(ev)
-	}
-	s.journal.Record(ev)
+// observeInference feeds the closure and infer spans under sp — the
+// inference a cache miss ran — into their stage histograms. The
+// request's own stages come from its record.
+func (s *Server) observeInference(sp *obs.Span) {
+	sp.Visit(func(name string, d time.Duration) {
+		switch name {
+		case stageNames[stageClosure]:
+			s.metrics.ObserveStage(stageClosure, d)
+		case stageNames[stageInfer]:
+			s.metrics.ObserveStage(stageInfer, d)
+		}
+	})
 }
 
 // planCacheStats aggregates plan-cache counters across every served
