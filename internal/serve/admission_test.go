@@ -135,7 +135,7 @@ func stubRegistry(t *testing.T, name string, ests []baselines.Estimator) *Regist
 	reg := NewRegistry()
 	m := &Model{Name: name}
 	m.cur.Store(&Snapshot{DB: snap.DB, Estimators: ests, Generation: 1, BuiltAt: time.Now()})
-	if err := reg.install(name, m); err != nil {
+	if err := reg.register(name, m); err != nil {
 		t.Fatal(err)
 	}
 	return reg

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -59,17 +58,8 @@ type batchEstimateResponse struct {
 func (s *Server) handleEstimateBatch(w http.ResponseWriter, r *http.Request) {
 	rec := recordOf(w)
 	rec.kind = kindBatch
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	var req batchEstimateRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			s.fail(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body over %d bytes", tooBig.Limit))
-			return
-		}
-		s.fail(w, http.StatusBadRequest, "malformed JSON: "+err.Error())
+	if !s.readJSON(w, r, &req) {
 		return
 	}
 	if len(req.Queries) == 0 {
@@ -81,13 +71,8 @@ func (s *Server) handleEstimateBatch(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("batch of %d queries over the %d-item limit", len(req.Queries), s.cfg.MaxBatchItems))
 		return
 	}
-	model, ok := s.resolveModel(req.Model)
-	if !ok {
-		if req.Model == "" {
-			s.fail(w, http.StatusBadRequest, `"model" is required when several models are registered`)
-		} else {
-			s.fail(w, http.StatusNotFound, fmt.Sprintf("unknown model %q", req.Model))
-		}
+	model := s.resolveModel(w, req.Model)
+	if model == nil {
 		return
 	}
 	snap := model.Current()

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -10,7 +9,6 @@ import (
 
 	"prmsel/internal/dataset"
 	"prmsel/internal/ingest"
-	"prmsel/internal/resilience"
 	"prmsel/internal/store"
 )
 
@@ -100,12 +98,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		s.metrics.ObserveIngestReject()
 		s.fail(w, code, msg)
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	var req ingestRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		reject(http.StatusBadRequest, "malformed JSON: "+err.Error())
+	if !s.readJSON(w, r, &req) {
+		s.metrics.ObserveIngestReject()
 		return
 	}
 	rows := req.Rows
@@ -120,13 +115,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		reject(http.StatusBadRequest, fmt.Sprintf("batch of %d rows exceeds the %d-row limit", len(rows), ingest.MaxBatchRows))
 		return
 	}
-	model, ok := s.resolveModel(req.Model)
-	if !ok {
-		if req.Model == "" {
-			reject(http.StatusBadRequest, `"model" is required when several models are registered`)
-		} else {
-			reject(http.StatusNotFound, fmt.Sprintf("unknown model %q", req.Model))
-		}
+	model := s.resolveModel(w, req.Model)
+	if model == nil {
+		s.metrics.ObserveIngestReject()
 		return
 	}
 	rec.model = model.Name
@@ -135,21 +126,6 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		reject(http.StatusConflict, fmt.Sprintf("model %q does not accept ingest (enable it with -ingest)", model.Name))
 		return
 	}
-	// A tripped WAL breaker fails the write fast — before row resolution —
-	// instead of grinding every batch against a log that keeps failing.
-	if s.res != nil {
-		if err := s.res.walBr.Allow(); err != nil {
-			ra := time.Second
-			var oe *resilience.OpenError
-			if errors.As(err, &oe) {
-				ra = oe.RetryAfter
-			}
-			setRetryAfter(w, ra)
-			reject(http.StatusServiceUnavailable, err.Error())
-			return
-		}
-	}
-
 	snap := model.Current()
 	batch := make([]ingest.Row, len(rows))
 	for i, jr := range rows {
@@ -162,13 +138,6 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 
 	seq, err := ing.Ingest(batch)
-	if s.res != nil {
-		// Only log health is the breaker's business: validation errors and
-		// backlog pushback say nothing about whether the WAL can append.
-		if err == nil || errors.Is(err, store.ErrWALBroken) {
-			s.res.walBr.Record(err)
-		}
-	}
 	if err != nil {
 		switch {
 		case errors.Is(err, ingest.ErrBacklog):

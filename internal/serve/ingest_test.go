@@ -3,11 +3,16 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"prmsel/internal/faults"
+	"prmsel/internal/ingest"
 	"prmsel/internal/store"
 )
 
@@ -241,5 +246,116 @@ func TestRebuildSeesIngestedRows(t *testing.T) {
 			t.Fatalf("pending after rebuild = %+v, want 0", h.Ingest)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestRebuildStragglerRefitDoesNotDefer: a row acknowledged while a
+// rebuild persists lands after the rebuild's clone point, so the rebuild
+// leaves it pending and triggers a refit for it. That refit must run once
+// the cycle ends, however long onDone takes, instead of deferring itself
+// against the rebuild that asked for it.
+func TestRebuildStragglerRefitDoesNotDefer(t *testing.T) {
+	faults.Reset()
+	defer faults.Reset()
+	_, m := ingestRegistry(t, t.TempDir(), IngestPolicy{RefitRows: -1})
+	ing := m.ingestor()
+	straggler := make(chan error, 1)
+	faults.Set("store.write", faults.Fault{Times: 1, OnHit: func(int) {
+		_, err := ing.Ingest([]ingest.Row{{Table: "People", Attrs: []int32{1, 2, 1}}})
+		straggler <- err
+	}})
+	done := make(chan error, 1)
+	if !m.Rebuild(func(_ *Snapshot, err error) {
+		time.Sleep(50 * time.Millisecond)
+		done <- err
+	}) {
+		t.Fatal("Rebuild refused on an idle model")
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("rebuild: %v", err)
+	}
+	if err := <-straggler; err != nil {
+		t.Fatalf("straggler ingest: %v", err)
+	}
+	deadline := time.Now().Add(3 * time.Second)
+	for {
+		h := m.Health()
+		if h.Ingest.PendingRows == 0 && m.Current().DB.Table("People").Len() == 1001 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("straggler row still pending 3s after the rebuild: %+v, served rows %d",
+				h.Ingest, m.Current().DB.Table("People").Len())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestIngestGenerationsGrowPastLostState: an ingest model whose newest
+// dataset state is lost falls back to a fresh learn on restart. That
+// restart must still serve a generation above the previous process's, so
+// its own persisted generation is the newest on disk and the restart after
+// it recovers that model, not an older file.
+func TestIngestGenerationsGrowPastLostState(t *testing.T) {
+	faults.Reset()
+	defer faults.Reset()
+	dir := t.TempDir()
+	closeReg := func(reg *Registry) {
+		t.Helper()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := reg.Close(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	reg1, m1 := ingestRegistry(t, dir, IngestPolicy{RefitRows: -1})
+	for i := 0; i < 2; i++ {
+		done := make(chan error, 1)
+		if !m1.Rebuild(func(_ *Snapshot, err error) { done <- err }) {
+			t.Fatal("Rebuild refused on an idle model")
+		}
+		if err := <-done; err != nil {
+			t.Fatalf("rebuild %d: %v", i, err)
+		}
+		waitFor(t, "rebuild cycle to finish", func() bool { return !m1.Rebuilding() })
+	}
+	gen1 := m1.Current().Generation
+	closeReg(reg1)
+	lost := filepath.Join(dir, fmt.Sprintf("fig1-%08d.state", gen1))
+	if err := os.Remove(lost); err != nil {
+		t.Fatalf("removing the newest state artifact: %v", err)
+	}
+
+	reg2, m2 := ingestRegistry(t, dir, IngestPolicy{RefitRows: -1})
+	if got := m2.Current().Generation; got <= gen1 {
+		t.Fatalf("restart after a lost state serves generation %d, want above the previous process's %d", got, gen1)
+	}
+	// Give the restarted model rows of its own, so its newest generation
+	// is a model no earlier file holds.
+	ing := m2.ingestor()
+	rows := make([]ingest.Row, 7)
+	for i := range rows {
+		rows[i] = ingest.Row{Table: "People", Attrs: []int32{1, 2, 1}}
+	}
+	if _, err := ing.Ingest(rows); err != nil {
+		t.Fatal(err)
+	}
+	if err := ing.Refit("test"); err != nil {
+		t.Fatal(err)
+	}
+	gen2 := m2.Current().Generation
+	closeReg(reg2)
+
+	_, m3 := ingestRegistry(t, dir, IngestPolicy{RefitRows: -1})
+	snap := m3.Current()
+	if snap.Generation <= gen2 {
+		t.Errorf("second restart serves generation %d, want above %d", snap.Generation, gen2)
+	}
+	if !m3.Health().Recovered {
+		t.Error("second restart did not recover from the store")
+	}
+	if got := snap.DB.Table("People").Len(); got != 1007 {
+		t.Errorf("second restart serves %d rows, want the restarted model's 1007", got)
 	}
 }

@@ -5,45 +5,23 @@ import (
 	"path/filepath"
 	"time"
 
-	"prmsel/internal/cliutil"
+	"prmsel/internal/core"
 	"prmsel/internal/dataset"
-	"prmsel/internal/eval"
 	"prmsel/internal/ingest"
-	"prmsel/internal/learn"
 	"prmsel/internal/store"
 )
 
-func (p IngestPolicy) withDefaults() IngestPolicy {
-	if p.RefitRows == 0 {
-		p.RefitRows = 1024
-	}
-	if p.MaxPending == 0 {
-		p.MaxPending = 1 << 16
-	}
-	return p
-}
-
-// loadBaseDB loads the model's pre-ingest baseline dataset from the spec.
-func (m *Model) loadBaseDB() (*dataset.Database, error) {
-	db, err := cliutil.LoadDB(m.Spec.CSVDir, m.Spec.Dataset, m.Spec.Rows, m.Spec.Scale, m.Spec.Seed)
-	if err != nil {
-		return nil, fmt.Errorf("serve: load %s: %w", m.Name, err)
-	}
-	return db, nil
-}
-
 // setupIngest brings up a model's streaming write path during Add: open
 // (and repair) the WAL, recover the newest snapshot + dataset state,
-// replay the WAL suffix past the recovered watermark, publish an initial
-// snapshot, and start the ingestor. The model serves when this returns.
+// replay the WAL suffix past the recovered watermark, install a new
+// generation over the result, and start the ingestor. The model serves
+// when this returns.
 func (m *Model) setupIngest(r *Registry) error {
-	st := r.snapshotStore()
+	st := r.store
 	if st == nil {
 		return fmt.Errorf("serve: model %s: ingest requires a durable store (set -store-dir)", m.Name)
 	}
-	pol := m.Spec.Ingest.withDefaults()
-	walDir := filepath.Join(st.Dir(), "wal", m.Name)
-	w, info, err := store.OpenWAL(walDir, store.WALOptions{MaxSegmentBytes: pol.MaxSegmentBytes})
+	w, info, err := store.OpenWAL(filepath.Join(st.Dir(), "wal", m.Name), store.WALOptions{})
 	if err != nil {
 		return fmt.Errorf("serve: model %s: open WAL: %w", m.Name, err)
 	}
@@ -58,51 +36,43 @@ func (m *Model) setupIngest(r *Registry) error {
 		w.Close()
 		return err
 	}
-	recovered := !recoveredAt.IsZero()
 	if replayed > 0 {
 		r.logf("serve: model %s: ingest recovery replayed %d rows from the WAL", m.Name, replayed)
 	}
 
-	// Publish the initial snapshot before the write path opens: its
+	// Serve the initial generation before the write path opens: its
 	// database already contains every replayed row, so its state artifact
 	// sits at the WAL head and the covered log prefix can be reclaimed.
 	// A recovered model's *parameters* may lag the replayed rows; the
 	// recovery refit triggered below folds them in.
 	watermark := w.LastSeq()
-	snapDB := db.Clone()
-	snap := &Snapshot{
-		DB:         snapDB,
-		Estimators: m.estimators(snapDB, prm),
-		Generation: m.gen.Add(1),
-		BuiltAt:    time.Now(),
-		BuildTime:  time.Since(start),
-		Watermark:  watermark,
-	}
+	snap := m.snapshot(db.Clone(), prm, m.gen.Add(1), start)
+	snap.Watermark = watermark
 	m.wal = w
-	m.cur.Store(snap)
-	if recovered {
+	m.install(snap)
+	if !recoveredAt.IsZero() {
+		// The parameters came from the store: report the model recovered,
+		// anchored at the persisted snapshot's time, as a read-only
+		// recovery does.
 		m.noteRecovered(recoveredAt)
-	} else {
-		m.noteSuccess(snap.BuiltAt)
 	}
-	m.persist(snap)
 
 	ing, err := ingest.New(ingest.Config{
-		Model:         prm.M,
+		Model:         prm,
 		DB:            db,
 		WAL:           w,
 		Watermark:     watermark,
 		Pending:       int64(replayed),
-		RefitRows:     int(pol.RefitRows),
-		RefitInterval: pol.RefitInterval,
-		MaxPending:    int(pol.MaxPending),
+		RefitRows:     int(m.Spec.Ingest.RefitRows),
+		RefitInterval: m.Spec.Ingest.RefitInterval,
+		MaxPending:    int(m.Spec.Ingest.MaxPending),
 		Publish:       m.publishRefit,
 		// A refit defers while a full rebuild is staging (the original
 		// rule) or while the refit breaker refuses work (repeated refit
 		// failures); deferred rows stay pending for the next trigger.
-		SkipRefit: func() bool { return m.building.Load() || !r.refitAllowedNow() },
-		OnIngest:  r.noteIngest,
-		OnRefit:   r.noteRefit,
+		SkipRefit: func() bool { return m.building.Load() || !m.server().refitAllowed() },
+		OnIngest:  func(rows, walBytes int) { m.server().observeIngest(rows, walBytes) },
+		OnRefit:   func(d time.Duration, err error) { m.server().observeRefit(d, err) },
 		Logf:      r.logf,
 	})
 	if err != nil {
@@ -122,7 +92,7 @@ func (m *Model) setupIngest(r *Registry) error {
 // replay. Fallback: the base dataset, a full WAL replay, and a fresh
 // learn. recoveredAt is zero when the model was learned fresh; replayed
 // counts rows the returned parameters do not yet reflect.
-func (m *Model) recoverIngest(r *Registry, st *store.Store, w *store.WAL) (db *dataset.Database, prm *eval.PRMEstimator, replayed int, recoveredAt time.Time, err error) {
+func (m *Model) recoverIngest(r *Registry, st *store.Store, w *store.WAL) (db *dataset.Database, prm *core.PRM, replayed int, recoveredAt time.Time, err error) {
 	if rec, rerr := st.Recover(m.Name); rerr == nil {
 		for _, q := range rec.Quarantined {
 			r.logf("serve: model %s: quarantined corrupt snapshot %s", m.Name, q)
@@ -135,10 +105,9 @@ func (m *Model) recoverIngest(r *Registry, st *store.Store, w *store.WAL) (db *d
 			r.logf("serve: model %s: WAL replay past watermark %d failed (%v); rebuilding from the base dataset",
 				m.Name, wm, perr)
 		} else {
-			m.gen.Store(rec.Generation)
 			r.logf("serve: model %s recovered from store (generation %d, watermark %d, %d rows replayed)",
 				m.Name, rec.Generation, wm, n)
-			return sdb, &eval.PRMEstimator{Label: "PRM", M: rec.Model}, n, rec.SavedAt, nil
+			return sdb, rec.Model, n, rec.SavedAt, nil
 		}
 	} else {
 		r.logf("serve: model %s not recoverable from store (%v); building from scratch", m.Name, rerr)
@@ -149,44 +118,30 @@ func (m *Model) recoverIngest(r *Registry, st *store.Store, w *store.WAL) (db *d
 	// pending. An unreplayable log (state artifact lost after
 	// truncation, or a schema change) is abandoned: its rows cannot be
 	// interpreted, and new appends continue past them.
-	db, err = m.loadBaseDB()
+	db, err = m.loadDB()
 	if err != nil {
 		return nil, nil, 0, time.Time{}, err
 	}
 	if _, _, perr := ingest.Replay(db, w, 0); perr != nil {
 		r.logf("serve: model %s: full WAL replay failed (%v); abandoning %d unreplayable records", m.Name, perr, w.LastSeq())
-		if db, err = m.loadBaseDB(); err != nil {
+		if db, err = m.loadDB(); err != nil {
 			return nil, nil, 0, time.Time{}, err
 		}
 	}
-	prm, err = eval.LearnPRM(db, "PRM", eval.LearnOptions{
-		Kind:      learn.Tree,
-		Criterion: learn.SSN,
-		Budget:    m.Spec.BudgetBytes,
-		Seed:      m.Spec.Seed,
-	})
-	if err != nil {
-		return nil, nil, 0, time.Time{}, fmt.Errorf("serve: learn %s: %w", m.Name, err)
+	if prm, err = m.learn(db); err != nil {
+		return nil, nil, 0, time.Time{}, err
 	}
 	return db, prm, 0, time.Time{}, nil
 }
 
 // publishRefit is the ingestor's publish callback: wrap the refit model
-// and cloned database into a new snapshot generation, hot-swap it in,
-// and persist (model snapshot, dataset state, WAL truncation). Runs on
-// the refit goroutine.
+// and cloned database into a new snapshot generation and install it
+// (which persists the model snapshot and dataset state and truncates the
+// WAL). Runs on the refit goroutine.
 func (m *Model) publishRefit(pub ingest.Publication) error {
-	start := time.Now()
-	prm := &eval.PRMEstimator{Label: "PRM", M: pub.Model}
-	snap := &Snapshot{
-		DB:         pub.DB,
-		Estimators: m.estimators(pub.DB, prm),
-		Generation: m.gen.Add(1),
-		BuiltAt:    time.Now(),
-		BuildTime:  time.Since(start),
-		Watermark:  pub.Watermark,
-	}
-	if !m.publish(snap) {
+	snap := m.snapshot(pub.DB, pub.Model, m.gen.Add(1), time.Now())
+	snap.Watermark = pub.Watermark
+	if !m.install(snap) {
 		// A concurrent rebuild landed a newer generation. If it already
 		// covers these rows the refit's bookkeeping may settle; if not,
 		// keep them pending for the next refit.
@@ -195,8 +150,6 @@ func (m *Model) publishRefit(pub ingest.Publication) error {
 		}
 		return fmt.Errorf("serve: refit of %s superseded by a newer generation", m.Name)
 	}
-	m.noteSuccess(snap.BuiltAt)
-	m.persist(snap)
 	if m.reg != nil {
 		m.reg.logf("serve: model %s: refit published generation %d (%d rows, trigger %s, watermark %d)",
 			m.Name, snap.Generation, pub.Rows, pub.Trigger, pub.Watermark)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"math/rand"
 	"sort"
@@ -40,14 +39,8 @@ type BuildSpec struct {
 	// Seed drives the generators (default 1).
 	Seed int64
 	// BudgetBytes bounds the PRM's storage (default 4400, the paper's
-	// operating point).
+	// operating point), and the SAMPLE and MHIST baselines' too.
 	BudgetBytes int
-	// SampleBudget sizes the SAMPLE baseline in bytes (default
-	// BudgetBytes).
-	SampleBudget int
-	// MHistAttrs is how many leading attributes the MHIST baseline
-	// covers on single-table datasets (default 3; 0 disables MHIST).
-	MHistAttrs int
 	// Retry governs how background rebuilds recover from failures.
 	Retry RetryPolicy
 	// Drift tunes the accuracy watchdog fed by /v1/feedback.
@@ -72,8 +65,6 @@ type IngestPolicy struct {
 	// MaxPending bounds unpublished rows before ingest returns 429
 	// (default 65536).
 	MaxPending int64
-	// MaxSegmentBytes caps one WAL segment before rotation (default 4 MiB).
-	MaxSegmentBytes int64
 }
 
 // RetryPolicy shapes the rebuild retry loop: exponential backoff with
@@ -140,8 +131,8 @@ type ModelHealth struct {
 	// store at startup rather than built fresh; it stays set until the
 	// first successful rebuild replaces the recovered generation.
 	Recovered bool `json:"recovered,omitempty"`
-	// SnapshotSavedAt is when the recovered snapshot was persisted (the
-	// store manifest's timestamp), the staleness anchor while Recovered.
+	// SnapshotSavedAt is when the recovered snapshot was persisted (its
+	// file's mtime), the staleness anchor while Recovered.
 	SnapshotSavedAt time.Time `json:"snapshot_saved_at,omitempty"`
 	// SnapshotAgeSeconds is how old the recovered snapshot is — how far
 	// behind live data the served model may be.
@@ -186,14 +177,13 @@ func (s BuildSpec) withDefaults() BuildSpec {
 	if s.BudgetBytes == 0 {
 		s.BudgetBytes = 4400
 	}
-	if s.SampleBudget == 0 {
-		s.SampleBudget = s.BudgetBytes
-	}
-	if s.MHistAttrs == 0 {
-		s.MHistAttrs = 3
-	}
 	return s
 }
+
+// mhistAttrs is how many leading attributes the MHIST baseline covers on
+// single-table datasets, the configuration of the paper's first
+// experiment set.
+const mhistAttrs = 3
 
 // Snapshot is one immutable built generation of a model: the database it
 // was learned from and every estimator serving it. Request handlers load a
@@ -287,18 +277,22 @@ func (m *Model) Current() *Snapshot { return m.cur.Load() }
 // ingestor returns the streaming write path, or nil for read-only models.
 func (m *Model) ingestor() *ingest.Ingestor { return m.ing.Load() }
 
-// publish installs snap as the served snapshot unless a strictly newer
-// generation already landed — refits and rebuilds race for the pointer,
-// and an older generation must never clobber a newer one. Reports
-// whether snap is now (or already was) superseded-free, i.e. installed.
-func (m *Model) publish(snap *Snapshot) bool {
+// server is the server the model's events report to, or nil while none
+// exists.
+func (m *Model) server() *Server {
+	if m.reg == nil {
+		return nil
+	}
+	return m.reg.srv.Load()
+}
+
+// raiseGen moves the generation counter up to at least gen, so the next
+// generation this model mints is newer than gen.
+func (m *Model) raiseGen(gen int64) {
 	for {
-		old := m.cur.Load()
-		if old != nil && old.Generation >= snap.Generation {
-			return false
-		}
-		if m.cur.CompareAndSwap(old, snap) {
-			return true
+		old := m.gen.Load()
+		if old >= gen || m.gen.CompareAndSwap(old, gen) {
+			return
 		}
 	}
 }
@@ -403,7 +397,67 @@ func (m *Model) noteExhausted() {
 	m.healthMu.Unlock()
 }
 
-// build constructs the next snapshot from the spec. Models with a
+// The generation lifecycle. Every path that serves a new generation (the
+// first build, a rebuild, an ingest refit, a remote adoption, the ingest
+// startup) takes its data from loadDB, its model from learn, wraps both
+// with snapshot, and serves the result through install.
+
+// loadDB loads the spec's dataset: a read-only model's data, an ingest
+// model's pre-ingest baseline.
+func (m *Model) loadDB() (*dataset.Database, error) {
+	db, err := cliutil.LoadDB(m.Spec.CSVDir, m.Spec.Dataset, m.Spec.Rows, m.Spec.Scale, m.Spec.Seed)
+	if err != nil {
+		return nil, fmt.Errorf("serve: load %s: %w", m.Name, err)
+	}
+	return db, nil
+}
+
+// learn runs the structure search over db within the spec's budget.
+func (m *Model) learn(db *dataset.Database) (*core.PRM, error) {
+	prm, err := eval.LearnPRM(db, "PRM", eval.LearnOptions{
+		Kind:      learn.Tree,
+		Criterion: learn.SSN,
+		Budget:    m.Spec.BudgetBytes,
+		Seed:      m.Spec.Seed,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("serve: learn %s: %w", m.Name, err)
+	}
+	return prm.M, nil
+}
+
+// snapshot wraps db and prm, with their baselines, into generation gen,
+// whose construction began at start.
+func (m *Model) snapshot(db *dataset.Database, prm *core.PRM, gen int64, start time.Time) *Snapshot {
+	return &Snapshot{
+		DB:         db,
+		Estimators: m.estimators(db, &eval.PRMEstimator{Label: "PRM", M: prm}),
+		Generation: gen,
+		BuiltAt:    time.Now(),
+		BuildTime:  time.Since(start),
+	}
+}
+
+// install serves snap unless a generation at least as new already serves
+// — refits, rebuilds and adoptions race for the pointer, and an older
+// generation must never clobber a newer one. Only a snapshot that serves
+// records success and is persisted; install reports whether snap serves.
+func (m *Model) install(snap *Snapshot) bool {
+	for {
+		old := m.cur.Load()
+		if old != nil && old.Generation >= snap.Generation {
+			return false
+		}
+		if m.cur.CompareAndSwap(old, snap) {
+			break
+		}
+	}
+	m.noteSuccess(snap.BuiltAt)
+	m.persist(snap)
+	return true
+}
+
+// build constructs the next generation from the spec. Models with a
 // streaming write path learn from the ingestor's staging snapshot — the
 // base dataset plus every ingested row — never from a stale reload; the
 // spec's dataset source only describes the pre-ingest baseline.
@@ -420,35 +474,22 @@ func (m *Model) build() (*Snapshot, error) {
 	)
 	if ing := m.ingestor(); ing != nil {
 		db, watermark, appliedAt = ing.SnapshotDB()
-	} else {
-		db, err = cliutil.LoadDB(m.Spec.CSVDir, m.Spec.Dataset, m.Spec.Rows, m.Spec.Scale, m.Spec.Seed)
-		if err != nil {
-			return nil, fmt.Errorf("serve: load %s: %w", m.Name, err)
-		}
+	} else if db, err = m.loadDB(); err != nil {
+		return nil, err
 	}
-	prm, err := eval.LearnPRM(db, "PRM", eval.LearnOptions{
-		Kind:      learn.Tree,
-		Criterion: learn.SSN,
-		Budget:    m.Spec.BudgetBytes,
-		Seed:      m.Spec.Seed,
-	})
+	prm, err := m.learn(db)
 	if err != nil {
-		return nil, fmt.Errorf("serve: learn %s: %w", m.Name, err)
+		return nil, err
 	}
-	return &Snapshot{
-		DB:         db,
-		Estimators: m.estimators(db, prm),
-		Generation: m.gen.Add(1),
-		BuiltAt:    time.Now(),
-		BuildTime:  time.Since(start),
-		Watermark:  watermark,
-		appliedAt:  appliedAt,
-	}, nil
+	snap := m.snapshot(db, prm, m.gen.Add(1), start)
+	snap.Watermark, snap.appliedAt = watermark, appliedAt
+	return snap, nil
 }
 
-// ErrStaleGeneration rejects a remote snapshot whose generation is not
-// strictly newer than the served one — distribution must never move a
-// replica backwards.
+// ErrStaleGeneration reports a snapshot whose generation is not strictly
+// newer than the served one — a remote offer that would move a replica
+// backwards, or a rebuild that a newer generation overtook. Neither
+// serves.
 var ErrStaleGeneration = errors.New("serve: snapshot generation not newer than served generation")
 
 // ErrNotAdoptable rejects remote snapshots on models that own a local
@@ -474,35 +515,20 @@ func (m *Model) AdoptRemote(prm *core.PRM, gen int64) (*Snapshot, error) {
 	if gen <= cur.Generation {
 		return nil, fmt.Errorf("%w: serving %d, offered %d", ErrStaleGeneration, cur.Generation, gen)
 	}
-	start := time.Now()
-	snap := &Snapshot{
-		DB:         cur.DB,
-		Estimators: m.estimators(cur.DB, &eval.PRMEstimator{Label: "PRM", M: prm}),
-		Generation: gen,
-		BuiltAt:    time.Now(),
-		BuildTime:  time.Since(start),
-	}
 	// Raise the local generation counter past the adopted generation so a
 	// later local rebuild continues the sequence instead of colliding.
-	for {
-		old := m.gen.Load()
-		if old >= gen || m.gen.CompareAndSwap(old, gen) {
-			break
-		}
-	}
-	if !m.publish(snap) {
+	m.raiseGen(gen)
+	snap := m.snapshot(cur.DB, prm, gen, time.Now())
+	if !m.install(snap) {
 		// A concurrent rebuild or a newer adoption won the pointer race.
 		return nil, fmt.Errorf("%w: serving %d, offered %d", ErrStaleGeneration, m.Current().Generation, gen)
 	}
-	m.noteSuccess(snap.BuiltAt)
-	m.persist(snap)
 	return snap, nil
 }
 
 // estimators assembles a snapshot's estimator list around the primary:
-// the AVI baseline always, SAMPLE and MHIST where the spec and schema
-// allow. Shared by fresh builds and store recovery, so a recovered model
-// serves the same breakdown a built one would.
+// the AVI baseline always, SAMPLE and MHIST where the schema allows, both
+// within the spec's byte budget.
 func (m *Model) estimators(db *dataset.Database, prm baselines.Estimator) []baselines.Estimator {
 	ests := []baselines.Estimator{prm, baselines.NewAVI(db)}
 
@@ -516,17 +542,14 @@ func (m *Model) estimators(db *dataset.Database, prm baselines.Estimator) []base
 		}
 	}
 	if largest != nil && len(largest.Attributes) > 0 {
-		ests = append(ests, eval.SampleForBudget(largest, len(largest.Attributes), m.Spec.SampleBudget, m.Spec.Seed))
+		ests = append(ests, eval.SampleForBudget(largest, len(largest.Attributes), m.Spec.BudgetBytes, m.Spec.Seed))
 	}
 
 	// MHIST over the leading attributes of single-table datasets, the
 	// configuration the paper's first experiment set uses.
-	if m.Spec.MHistAttrs > 0 && len(db.TableNames()) == 1 {
+	if len(db.TableNames()) == 1 {
 		t := db.Table(db.TableNames()[0])
-		n := m.Spec.MHistAttrs
-		if n > len(t.Attributes) {
-			n = len(t.Attributes)
-		}
+		n := min(mhistAttrs, len(t.Attributes))
 		attrs := make([]string, n)
 		for i := 0; i < n; i++ {
 			attrs[i] = t.Attributes[i].Name
@@ -538,7 +561,7 @@ func (m *Model) estimators(db *dataset.Database, prm baselines.Estimator) []base
 	return ests
 }
 
-// recoverFromStore publishes the newest valid persisted generation: the
+// recoverFromStore assembles the newest valid persisted generation: the
 // dataset is reloaded (cheap — the expensive artifact is the learned
 // structure, which is exactly what the store persists) and the decoded
 // PRM is wrapped with freshly built baselines. Returns an error when the
@@ -550,55 +573,38 @@ func (m *Model) recoverFromStore(st *store.Store) (*Snapshot, *store.Recovered, 
 		return nil, rec, err
 	}
 	start := time.Now()
-	db, err := cliutil.LoadDB(m.Spec.CSVDir, m.Spec.Dataset, m.Spec.Rows, m.Spec.Scale, m.Spec.Seed)
+	db, err := m.loadDB()
 	if err != nil {
-		return nil, rec, fmt.Errorf("serve: recover %s: load dataset: %w", m.Name, err)
+		return nil, rec, fmt.Errorf("serve: recover %s: %w", m.Name, err)
 	}
-	prm := &eval.PRMEstimator{Label: "PRM", M: rec.Model}
-	// Continue the persisted generation sequence so the refreshing
-	// rebuild publishes a strictly newer generation.
-	m.gen.Store(rec.Generation)
-	return &Snapshot{
-		DB:         db,
-		Estimators: m.estimators(db, prm),
-		Generation: rec.Generation,
-		BuiltAt:    rec.SavedAt,
-		BuildTime:  time.Since(start),
-	}, rec, nil
+	snap := m.snapshot(db, rec.Model, rec.Generation, start)
+	snap.BuiltAt = rec.SavedAt
+	return snap, rec, nil
 }
 
 // persist writes the snapshot's primary model to the registry's durable
 // store, if one is attached. Persist failures are reported to health and
-// the registry's persist hook but never fail the build that produced the
-// snapshot: serving beats durability.
+// the server but never fail the build that produced the snapshot:
+// serving beats durability.
 func (m *Model) persist(snap *Snapshot) {
-	if m.reg == nil {
+	if m.reg == nil || m.reg.store == nil {
 		return
 	}
-	st := m.reg.snapshotStore()
-	if st == nil {
-		return
-	}
-	prm, ok := snap.Primary().(*eval.PRMEstimator)
-	if !ok {
-		return
-	}
+	st, srv := m.reg.store, m.server()
 	// A tripped persist breaker skips the save fast instead of stalling
 	// the rebuild goroutine behind a disk that keeps failing; the skip
-	// still flows through health and the persist hook so the outage is
+	// still flows through health and the server so the outage is
 	// visible, but it does not Record against the breaker (no new
 	// evidence either way).
-	br := m.reg.persistBreaker()
+	br := srv.persistBreaker()
 	if berr := br.Allow(); berr != nil {
 		err := fmt.Errorf("serve: persist %s generation %d skipped: %w", m.Name, snap.Generation, berr)
 		m.noteStoreError(err)
 		m.reg.logf("%v", err)
-		m.reg.notePersist(err)
+		srv.observePersist(err)
 		return
 	}
-	err := st.Save(m.Name, snap.Generation, snap.BuiltAt, func(w io.Writer) error {
-		return prm.M.Encode(w)
-	})
+	err := st.Save(m.Name, snap.Generation, snap.BuiltAt, snap.Primary().(*eval.PRMEstimator).M.Encode)
 	// Ingest models also persist the dataset-state artifact so recovery
 	// replays only the WAL suffix past the snapshot, and the covered WAL
 	// prefix can be reclaimed. Truncation happens only once both the
@@ -617,7 +623,7 @@ func (m *Model) persist(snap *Snapshot) {
 	if err != nil {
 		m.reg.logf("serve: persist %s generation %d: %v", m.Name, snap.Generation, err)
 	}
-	m.reg.notePersist(err)
+	srv.observePersist(err)
 }
 
 // Rebuild kicks a background rebuild cycle and atomically swaps the
@@ -625,10 +631,13 @@ func (m *Model) persist(snap *Snapshot) {
 // anything if a cycle is already in flight. Failed attempts retry with
 // exponential backoff per Spec.Retry; the served snapshot is never
 // touched on failure, so a permanently failing rebuild leaves the model
-// serving its last good generation, marked degraded in Health. onDone,
-// if non-nil, runs once, after the cycle ends, with the outcome.
-// onAttempt hooks, if given, run after every failed attempt (for retry
-// metrics and logs); they never run on the successful attempt.
+// serving its last good generation, marked degraded in Health. A build
+// that a newer generation overtook ends the cycle with
+// ErrStaleGeneration, unpersisted. onDone, if non-nil, runs once, after
+// the cycle ends, with the outcome; the cycle counts as in flight until
+// it returns. onAttempt hooks, if given, run after every failed attempt
+// (for retry metrics and logs); they never run on the successful
+// attempt.
 func (m *Model) Rebuild(onDone func(*Snapshot, error), onAttempt ...func(attempt int, err error, willRetry bool)) bool {
 	if m.reg != nil && m.reg.closing() {
 		return false
@@ -654,65 +663,71 @@ func (m *Model) Rebuild(onDone func(*Snapshot, error), onAttempt ...func(attempt
 		if m.reg != nil {
 			defer m.reg.wg.Done()
 		}
-		defer m.building.Store(false)
-		var lastErr error
-		for attempt := 1; attempt <= policy.MaxAttempts; attempt++ {
-			m.noteAttempt(attempt)
-			snap, err := m.build()
-			if err == nil {
-				if ing := m.ingestor(); ing != nil {
-					// Re-anchor the write path on the new structure before
-					// it serves: later refits must maintain this model's
-					// parameters, not the old one's.
-					err = ing.Adopt(snap.Primary().(*eval.PRMEstimator).M)
-				}
-			}
-			if err == nil {
-				m.publish(snap)
-				m.noteSuccess(snap.BuiltAt)
-				// Persist before reporting done: a caller that shuts
-				// down on onDone still gets a durable snapshot, and
-				// Registry.Close waits for this goroutine, so the flush
-				// always completes before exit.
-				m.persist(snap)
-				if ing := m.ingestor(); ing != nil {
-					// Rows ingested while the rebuild ran stay pending;
-					// settle the ledger at the snapshot's clone point and
-					// fold the stragglers in with an immediate refit.
-					ing.MarkPublished(snap.Watermark, snap.appliedAt)
-					ing.TriggerRefit("rebuild")
-				}
-				if onDone != nil {
-					onDone(snap, nil)
-				}
-				return
-			}
-			lastErr = err
-			m.noteFailure(err)
-			willRetry := attempt < policy.MaxAttempts
-			for _, hook := range onAttempt {
-				hook(attempt, err, willRetry)
-			}
-			if willRetry {
-				select {
-				case <-time.After(httpretry.Backoff(attempt, policy.BaseDelay, policy.MaxDelay, policy.JitterFrac, rng.Float64())):
-				case <-stop:
-					// Registry shutdown: abandon the cycle without
-					// marking the model degraded — it still serves its
-					// last good snapshot until the process exits.
-					if onDone != nil {
-						onDone(nil, fmt.Errorf("serve: rebuild %s: aborted by shutdown after attempt %d: %w", m.Name, attempt, lastErr))
-					}
-					return
-				}
-			}
-		}
-		m.noteExhausted()
+		// The cycle persists before onDone runs: a caller that shuts down
+		// on onDone still gets a durable snapshot, and Registry.Close
+		// waits for this goroutine, so the flush always completes before
+		// exit.
+		snap, err := m.rebuildCycle(policy, rng, stop, onAttempt)
 		if onDone != nil {
-			onDone(nil, fmt.Errorf("serve: rebuild %s: %d attempts exhausted: %w", m.Name, policy.MaxAttempts, lastErr))
+			onDone(snap, err)
+		}
+		m.building.Store(false)
+		if ing := m.ingestor(); ing != nil && err == nil {
+			// Refits deferred while the flag was up: rows acknowledged
+			// after the rebuild's clone point are still pending, so fold
+			// them in now that a refit may run.
+			ing.TriggerRefit("rebuild")
 		}
 	}()
 	return true
+}
+
+// rebuildCycle runs build attempts under policy until one serves, a newer
+// generation overtakes one, the attempts run out, or stop closes.
+func (m *Model) rebuildCycle(policy RetryPolicy, rng *rand.Rand, stop <-chan struct{}, onAttempt []func(int, error, bool)) (*Snapshot, error) {
+	var lastErr error
+	for attempt := 1; attempt <= policy.MaxAttempts; attempt++ {
+		m.noteAttempt(attempt)
+		snap, err := m.build()
+		ing := m.ingestor()
+		if err == nil && ing != nil {
+			// Re-anchor the write path on the new structure before it
+			// serves: later refits must maintain this model's parameters,
+			// not the old one's.
+			err = ing.Adopt(snap.Primary().(*eval.PRMEstimator).M)
+		}
+		if err == nil {
+			if !m.install(snap) {
+				return nil, fmt.Errorf("%w: rebuild %s built %d, serving %d",
+					ErrStaleGeneration, m.Name, snap.Generation, m.Current().Generation)
+			}
+			if ing != nil {
+				// Settle the ledger at the snapshot's clone point; rows
+				// ingested since stay pending for the refit Rebuild
+				// triggers once the cycle ends.
+				ing.MarkPublished(snap.Watermark, snap.appliedAt)
+			}
+			return snap, nil
+		}
+		lastErr = err
+		m.noteFailure(err)
+		willRetry := attempt < policy.MaxAttempts
+		for _, hook := range onAttempt {
+			hook(attempt, err, willRetry)
+		}
+		if willRetry {
+			select {
+			case <-time.After(httpretry.Backoff(attempt, policy.BaseDelay, policy.MaxDelay, policy.JitterFrac, rng.Float64())):
+			case <-stop:
+				// Registry shutdown: abandon the cycle without marking the
+				// model degraded — it still serves its last good snapshot
+				// until the process exits.
+				return nil, fmt.Errorf("serve: rebuild %s: aborted by shutdown after attempt %d: %w", m.Name, attempt, lastErr)
+			}
+		}
+	}
+	m.noteExhausted()
+	return nil, fmt.Errorf("serve: rebuild %s: %d attempts exhausted: %w", m.Name, policy.MaxAttempts, lastErr)
 }
 
 // Registry maps model names to served models. Registration builds
@@ -728,25 +743,65 @@ type Registry struct {
 	// Get/Single/Names on the request path load it without touching mu,
 	// so model resolution is lock-free. Writers mutate models/order under
 	// mu and republish via publishLocked.
-	view      atomic.Pointer[regView]
-	store     *store.Store
-	onPersist func(err error)
-	onIngest  func(rows, walBytes int)
-	onRefit   func(d time.Duration, err error)
-	// persistBr, when set, circuit-breaks the snapshot-save path: while
-	// open, persists are skipped fast instead of stalling rebuild
-	// goroutines behind a broken disk.
-	persistBr *resilience.Breaker
-	// refitGate, when set, is consulted by every ingest refit trigger
-	// (true = allow); the server points it at the refit breaker.
-	refitGate func() bool
-	logger    func(format string, args ...any)
+	view atomic.Pointer[regView]
+	// store is the durable snapshot store (nil: none); set by UseStore
+	// before the first Add and never changed afterwards.
+	store *store.Store
+	// srv is the server the registry's goroutines report persists,
+	// ingests and refits to, and whose breakers guard them; NewServer
+	// sets it. Until then events report to no one.
+	srv    atomic.Pointer[Server]
+	logger func(format string, args ...any)
 
 	// Shutdown plumbing: stopc aborts retry waits, wg tracks every
 	// rebuild goroutine (including its snapshot flush).
 	stopc     chan struct{}
 	closeOnce sync.Once
 	wg        sync.WaitGroup
+}
+
+// The registry's goroutines report to its server through these methods.
+// Each is safe on a nil server: until NewServer runs (Add's first build),
+// events report to no one, and nothing guards them.
+
+// persistBreaker is the circuit breaker guarding snapshot saves, or nil
+// (whose Allow always admits).
+func (s *Server) persistBreaker() *resilience.Breaker {
+	if s == nil || s.res == nil {
+		return nil
+	}
+	return s.res.persistBr
+}
+
+// refitAllowed reports whether the refit breaker admits a refit now.
+func (s *Server) refitAllowed() bool {
+	return s == nil || s.res == nil || s.res.refitBr.Allow() == nil
+}
+
+// observePersist records one snapshot persist outcome.
+func (s *Server) observePersist(err error) {
+	if s != nil {
+		s.metrics.ObserveStoreSave(err)
+	}
+}
+
+// observeIngest records acknowledged rows and the WAL bytes they took.
+func (s *Server) observeIngest(rows, walBytes int) {
+	if s != nil {
+		s.metrics.ObserveIngest(rows, walBytes)
+	}
+}
+
+// observeRefit records one refit's latency and outcome, in the metrics
+// and against the refit breaker.
+func (s *Server) observeRefit(d time.Duration, err error) {
+	if s == nil {
+		return
+	}
+	s.metrics.ObserveRefit(d, err)
+	if s.res != nil {
+		s.res.refitBr.Record(err)
+	}
 }
 
 // regView is one immutable generation of the registry's model table.
@@ -780,9 +835,9 @@ func (r *Registry) publishLocked() {
 	r.view.Store(v)
 }
 
-// install registers m under name, publishing the updated view; it fails
-// on a duplicate without mutating anything.
-func (r *Registry) install(name string, m *Model) error {
+// register adds m under name, publishing the updated view; it fails on
+// a duplicate without mutating anything.
+func (r *Registry) register(name string, m *Model) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, dup := r.models[name]; dup {
@@ -797,11 +852,7 @@ func (r *Registry) install(name string, m *Model) error {
 // UseStore attaches a durable snapshot store. Models registered after
 // this call recover from it at Add time and persist every successful
 // build into it. Attach before the first Add.
-func (r *Registry) UseStore(st *store.Store) {
-	r.mu.Lock()
-	r.store = st
-	r.mu.Unlock()
-}
+func (r *Registry) UseStore(st *store.Store) { r.store = st }
 
 // SetLogf routes the registry's own events (recovery, persist failures,
 // background refresh outcomes) somewhere other than log.Printf.
@@ -809,89 +860,6 @@ func (r *Registry) SetLogf(logf func(format string, args ...any)) {
 	r.mu.Lock()
 	r.logger = logf
 	r.mu.Unlock()
-}
-
-// setOnPersist installs the persist-outcome hook (the server wires it to
-// its metrics).
-func (r *Registry) setOnPersist(hook func(err error)) {
-	r.mu.Lock()
-	r.onPersist = hook
-	r.mu.Unlock()
-}
-
-// setOnIngest and setOnRefit install the write-path metric hooks; the
-// server wires them to its ingest counters and refit histogram.
-func (r *Registry) setOnIngest(hook func(rows, walBytes int)) {
-	r.mu.Lock()
-	r.onIngest = hook
-	r.mu.Unlock()
-}
-
-func (r *Registry) setOnRefit(hook func(d time.Duration, err error)) {
-	r.mu.Lock()
-	r.onRefit = hook
-	r.mu.Unlock()
-}
-
-// setPersistBreaker installs the circuit breaker guarding snapshot saves.
-func (r *Registry) setPersistBreaker(b *resilience.Breaker) {
-	r.mu.Lock()
-	r.persistBr = b
-	r.mu.Unlock()
-}
-
-func (r *Registry) persistBreaker() *resilience.Breaker {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.persistBr
-}
-
-// setRefitGate installs the refit admission gate (true = allow now).
-func (r *Registry) setRefitGate(gate func() bool) {
-	r.mu.Lock()
-	r.refitGate = gate
-	r.mu.Unlock()
-}
-
-// refitAllowedNow consults the gate; no gate means always allowed.
-func (r *Registry) refitAllowedNow() bool {
-	r.mu.RLock()
-	gate := r.refitGate
-	r.mu.RUnlock()
-	return gate == nil || gate()
-}
-
-func (r *Registry) noteIngest(rows, walBytes int) {
-	r.mu.RLock()
-	hook := r.onIngest
-	r.mu.RUnlock()
-	if hook != nil {
-		hook(rows, walBytes)
-	}
-}
-
-func (r *Registry) noteRefit(d time.Duration, err error) {
-	r.mu.RLock()
-	hook := r.onRefit
-	r.mu.RUnlock()
-	if hook != nil {
-		hook(d, err)
-	}
-}
-
-func (r *Registry) snapshotStore() *store.Store {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.store
-}
-
-func (r *Registry) notePersist(err error) {
-	r.mu.RLock()
-	hook := r.onPersist
-	r.mu.RUnlock()
-	if hook != nil {
-		hook(err)
-	}
 }
 
 func (r *Registry) logf(format string, args ...any) {
@@ -976,15 +944,22 @@ func (r *Registry) Add(name string, spec BuildSpec) (*Model, error) {
 	r.mu.Unlock()
 
 	m := &Model{Name: name, Spec: spec, reg: r, drift: newDriftWatch(spec.Drift)}
+	if r.store != nil {
+		// Generations only grow, across restarts too: whatever recovery
+		// serves, the next generation is newer than any file on disk.
+		if gens := r.store.Generations(name); len(gens) > 0 {
+			m.raiseGen(gens[0])
+		}
+	}
 
 	if spec.Ingest.Enabled {
 		// The streaming write path has its own recovery dance (WAL
-		// repair, state recovery, suffix replay) and publishes its own
-		// initial snapshot; it subsumes the plain paths below.
+		// repair, state recovery, suffix replay) and installs its own
+		// initial generation; it subsumes the plain paths below.
 		if err := m.setupIngest(r); err != nil {
 			return nil, err
 		}
-		if err := r.install(name, m); err != nil {
+		if err := r.register(name, m); err != nil {
 			if ing := m.ingestor(); ing != nil {
 				ing.Close()
 			}
@@ -995,9 +970,11 @@ func (r *Registry) Add(name string, spec BuildSpec) (*Model, error) {
 	}
 
 	recovered := false
-	if st := r.snapshotStore(); st != nil {
-		snap, rec, err := m.recoverFromStore(st)
+	if r.store != nil {
+		snap, rec, err := m.recoverFromStore(r.store)
 		if err == nil {
+			// Already durable: served as is, not installed, so it is not
+			// persisted again.
 			m.cur.Store(snap)
 			m.noteRecovered(rec.SavedAt)
 			recovered = true
@@ -1006,10 +983,8 @@ func (r *Registry) Add(name string, spec BuildSpec) (*Model, error) {
 		} else {
 			r.logf("serve: model %s not recoverable from store (%v); building from scratch", name, err)
 		}
-		if rec != nil {
-			for _, q := range rec.Quarantined {
-				r.logf("serve: model %s: quarantined corrupt snapshot %s", name, q)
-			}
+		for _, q := range rec.Quarantined {
+			r.logf("serve: model %s: quarantined corrupt snapshot %s", name, q)
 		}
 	}
 	if !recovered {
@@ -1017,12 +992,10 @@ func (r *Registry) Add(name string, spec BuildSpec) (*Model, error) {
 		if err != nil {
 			return nil, err
 		}
-		m.cur.Store(snap)
-		m.noteSuccess(snap.BuiltAt)
-		m.persist(snap)
+		m.install(snap)
 	}
 
-	if err := r.install(name, m); err != nil {
+	if err := r.register(name, m); err != nil {
 		return nil, err
 	}
 

@@ -48,10 +48,10 @@ type resilienceState struct {
 	s    *Server
 	ctrl *resilience.Controller
 
-	// persistBr guards snapshot saves, walBr the ingest WAL append
-	// path, refitBr incremental refits.
+	// persistBr guards snapshot saves, refitBr incremental refits. A
+	// failed WAL append needs no breaker: the log refuses every later
+	// append itself until it is reopened (store.ErrWALBroken).
 	persistBr *resilience.Breaker
-	walBr     *resilience.Breaker
 	refitBr   *resilience.Breaker
 
 	tierCeil  atomic.Int32
@@ -67,9 +67,10 @@ type resilienceState struct {
 	memStats runtime.MemStats
 }
 
-// newResilience wires the controller, breakers, metrics, and registry
-// hooks onto the server. Called once from NewServer (when brownout is
-// enabled); start launches the tick loop afterwards.
+// newResilience wires the controller, breakers and metrics onto the
+// server. Called once from NewServer (when brownout is enabled); start
+// launches the tick loop afterwards. The registry reaches the breakers
+// through the server (persistBreaker, refitAllowed, observeRefit).
 func newResilience(s *Server) *resilienceState {
 	r := &resilienceState{s: s}
 	reg := s.metrics.Registry()
@@ -101,7 +102,6 @@ func newResilience(s *Server) *resilienceState {
 		})
 	}
 	r.persistBr = mkBreaker("store.persist")
-	r.walBr = mkBreaker("wal.append")
 	r.refitBr = mkBreaker("ingest.refit")
 
 	tick := s.cfg.BrownoutTick
@@ -117,16 +117,6 @@ func newResilience(s *Server) *resilienceState {
 			s.logf("serve: brownout %s -> %s (pressure %.2f)", from, to, pressure)
 			r.journalNote(fmt.Sprintf("brownout %s -> %s (pressure %.2f)", from, to, pressure))
 		},
-	})
-
-	// Persist failures happen in registry rebuild goroutines; the refit
-	// outcome hook likewise. Route both into their breakers, keeping the
-	// metrics observation NewServer already installed.
-	s.reg.setPersistBreaker(r.persistBr)
-	s.reg.setRefitGate(func() bool { return r.refitBr.Allow() == nil })
-	s.reg.setOnRefit(func(d time.Duration, err error) {
-		s.metrics.ObserveRefit(d, err)
-		r.refitBr.Record(err)
 	})
 	return r
 }
@@ -244,7 +234,6 @@ func (r *resilienceState) health() map[string]any {
 		"shed_requests": r.shedTotal.Value(),
 		"breakers": []resilience.BreakerStatus{
 			r.persistBr.Status(),
-			r.walBr.Status(),
 			r.refitBr.Status(),
 		},
 	}
@@ -253,7 +242,7 @@ func (r *resilienceState) health() map[string]any {
 // syncGauges projects breaker states onto the registry; called by the
 // scrape handler so /metrics is always current.
 func (r *resilienceState) syncGauges() {
-	for _, b := range []*resilience.Breaker{r.persistBr, r.walBr, r.refitBr} {
+	for _, b := range []*resilience.Breaker{r.persistBr, r.refitBr} {
 		r.breakerState.With(b.Name()).Set(float64(b.State()))
 	}
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -10,8 +11,8 @@ import (
 	"sync"
 	"testing"
 
+	"prmsel/internal/faults"
 	"prmsel/internal/resilience"
-	"prmsel/internal/store"
 )
 
 // resilienceTestServer builds a server with the brownout loop wired but
@@ -131,32 +132,37 @@ func TestShedServesHitsRefusesMisses(t *testing.T) {
 	}
 }
 
-// TestWALBreakerFailsIngestFast trips the WAL breaker and checks that
-// ingest requests are refused up front — structured 503, Retry-After —
-// without grinding row resolution against a broken log.
-func TestWALBreakerFailsIngestFast(t *testing.T) {
+// TestBrokenWALFailsIngestKeepsEstimates: one failed append breaks the
+// write-ahead log, which then refuses every later append itself until it
+// is reopened. Every ingest after the failure answers a structured 503
+// with Retry-After, while estimates keep answering 200.
+func TestBrokenWALFailsIngestKeepsEstimates(t *testing.T) {
+	faults.Reset()
+	defer faults.Reset()
 	reg, _ := ingestRegistry(t, t.TempDir(), IngestPolicy{RefitRows: 1 << 20})
 	srv, ts := durableServer(t, reg, Config{})
 	t.Cleanup(srv.Close)
-	if srv.res == nil {
-		t.Fatal("brownout loop not wired")
+
+	faults.Set("store.wal.append", faults.Fault{Err: errors.New("injected disk failure"), Times: 1})
+	const row = `{"row":{"table":"People","attrs":{"Education":"college","Income":"high","HomeOwner":"true"}}}`
+	for i := 0; i < 3; i++ {
+		resp, out := postJSON(t, ts.URL, "/v1/ingest", row)
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("ingest %d after the failed append: status = %d, want 503 (body %v)", i, resp.StatusCode, out)
+		}
+		if resp.Header.Get("Retry-After") == "" {
+			t.Fatalf("ingest %d: broken-WAL 503 lacks Retry-After", i)
+		}
+		if msg, _ := out["error"].(string); !strings.Contains(msg, "write-ahead log") {
+			t.Fatalf("ingest %d: error = %q, want the broken log named", i, msg)
+		}
 	}
-	for i := 0; i < 5; i++ {
-		srv.res.walBr.Record(store.ErrWALBroken)
+	if got := faults.Hits("store.wal.append"); got != 1 {
+		t.Fatalf("injected append failures = %d, want 1: the log itself refuses the rest", got)
 	}
-	if got := srv.res.walBr.State(); got != resilience.BreakerOpen {
-		t.Fatalf("walBr state = %v after 5 failures, want open", got)
-	}
-	resp, out := postJSON(t, ts.URL, "/v1/ingest",
-		`{"row":{"table":"People","attrs":{"Education":"college","Income":"high","HomeOwner":"true"}}}`)
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("ingest with open breaker: status = %d, want 503 (body %v)", resp.StatusCode, out)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("breaker-open 503 lacks Retry-After")
-	}
-	if msg, _ := out["error"].(string); !strings.Contains(msg, "wal.append") {
-		t.Fatalf("breaker-open error = %q, want the breaker named", msg)
+	resp, out := postEstimate(t, ts.URL, `{"query":"FROM People p WHERE p.Income = high"}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("estimate with a broken WAL: status = %d, body %v", resp.StatusCode, out)
 	}
 }
 
@@ -171,7 +177,7 @@ func TestHealthzAndMetricsExposeResilience(t *testing.T) {
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	for _, want := range []string{`"resilience"`, `"state": "normal"`, `"store.persist"`, `"wal.append"`, `"ingest.refit"`} {
+	for _, want := range []string{`"resilience"`, `"state": "normal"`, `"store.persist"`, `"ingest.refit"`} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("/healthz lacks %s:\n%s", want, body)
 		}
@@ -182,7 +188,7 @@ func TestHealthzAndMetricsExposeResilience(t *testing.T) {
 	}
 	mbody, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	for _, want := range []string{"prm_resilience_state 0", "prm_resilience_pressure", `prm_breaker_state{breaker="wal.append"} 0`} {
+	for _, want := range []string{"prm_resilience_state 0", "prm_resilience_pressure", `prm_breaker_state{breaker="store.persist"} 0`} {
 		if !strings.Contains(string(mbody), want) {
 			t.Errorf("/metrics lacks %q", want)
 		}

@@ -32,8 +32,6 @@ type Config struct {
 	Registry *Registry
 	// CacheCapacity bounds the inference cache (default 4096 entries).
 	CacheCapacity int
-	// CacheShards is the cache's shard count (default 16).
-	CacheShards int
 	// RequestTimeout bounds each request's wall time (default 10s).
 	RequestTimeout time.Duration
 	// MaxBodyBytes bounds request bodies (default 1 MiB).
@@ -99,15 +97,9 @@ type Config struct {
 	// SLOLatencyTarget is the fraction of estimate requests that must
 	// finish within SLOLatency (default 0.999).
 	SLOLatencyTarget float64
-	// SLOErrorTarget is the fraction of API requests that must not fail
-	// with a 5xx (default 0.999).
-	SLOErrorTarget float64
 	// SLOQErrorMax is the accuracy objective's threshold: an observed
 	// q-error above it counts against the budget (default 16).
 	SLOQErrorMax float64
-	// SLOQErrorTarget is the fraction of observed q-errors that must stay
-	// within SLOQErrorMax (default 0.99).
-	SLOQErrorTarget float64
 	// SLOWindows are the burn-rate windows, shortest first
 	// (default 1m, 5m, 30m).
 	SLOWindows []time.Duration
@@ -121,6 +113,9 @@ type Config struct {
 	// the brownout controller's memory-pressure signal (0 = signal off).
 	MemSoftLimit int64
 }
+
+// cacheShards is the inference cache's shard count.
+const cacheShards = 16
 
 // GenHeader is the response header carrying the serving model
 // generation. The cluster gate pins rolling rollouts on it and
@@ -163,9 +158,6 @@ func NewServer(cfg Config) *Server {
 	if cfg.CacheCapacity == 0 {
 		cfg.CacheCapacity = 4096
 	}
-	if cfg.CacheShards == 0 {
-		cfg.CacheShards = 16
-	}
 	if cfg.RequestTimeout == 0 {
 		cfg.RequestTimeout = 10 * time.Second
 	}
@@ -205,26 +197,13 @@ func NewServer(cfg Config) *Server {
 	if cfg.SLOLatencyTarget == 0 {
 		cfg.SLOLatencyTarget = 0.999
 	}
-	if cfg.SLOErrorTarget == 0 {
-		cfg.SLOErrorTarget = 0.999
-	}
 	if cfg.SLOQErrorMax == 0 {
 		cfg.SLOQErrorMax = 16
-	}
-	if cfg.SLOQErrorTarget == 0 {
-		cfg.SLOQErrorTarget = 0.99
 	}
 	var adm *admission
 	if cfg.MaxConcurrent > 0 {
 		adm = newAdmission(int64(cfg.MaxConcurrent), cfg.MaxQueued, cfg.QueueTimeout)
 	}
-	// Persist outcomes (snapshot saves to the durable store) happen in
-	// registry rebuild goroutines; route them into this server's metrics.
-	cfg.Registry.setOnPersist(func(err error) { cfg.Metrics.ObserveStoreSave(err) })
-	// The write path's row counters and refit latencies likewise come out
-	// of registry-owned goroutines.
-	cfg.Registry.setOnIngest(cfg.Metrics.ObserveIngest)
-	cfg.Registry.setOnRefit(cfg.Metrics.ObserveRefit)
 	var journal *obs.Journal
 	if !cfg.DisableJournal {
 		journal = obs.NewJournal(obs.JournalConfig{
@@ -236,7 +215,7 @@ func NewServer(cfg Config) *Server {
 	s := &Server{
 		cfg:     cfg,
 		reg:     cfg.Registry,
-		cache:   NewCache(cfg.CacheCapacity, cfg.CacheShards),
+		cache:   NewCache(cfg.CacheCapacity, cacheShards),
 		adm:     adm,
 		metrics: cfg.Metrics,
 		journal: journal,
@@ -250,6 +229,9 @@ func NewServer(cfg Config) *Server {
 		s.res = newResilience(s)
 		s.res.start()
 	}
+	// Persists, ingests and refits happen in registry-owned goroutines;
+	// from here on they report to this server.
+	s.reg.srv.Store(s)
 	return s
 }
 
@@ -474,17 +456,8 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	if trace {
 		root = obs.NewTracer("request").Root()
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	var req estimateRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			s.fail(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body over %d bytes", tooBig.Limit))
-			return
-		}
-		s.fail(w, http.StatusBadRequest, "malformed JSON: "+err.Error())
+	if !s.readJSON(w, r, &req) {
 		return
 	}
 	rec.query = req.Query
@@ -493,13 +466,8 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	model, ok := s.resolveModel(req.Model)
-	if !ok {
-		if req.Model == "" {
-			s.fail(w, http.StatusBadRequest, `"model" is required when several models are registered`)
-		} else {
-			s.fail(w, http.StatusNotFound, fmt.Sprintf("unknown model %q", req.Model))
-		}
+	model := s.resolveModel(w, req.Model)
+	if model == nil {
 		return
 	}
 	snap := model.Current()
@@ -960,25 +928,16 @@ type feedbackRequest struct {
 // drift threshold, the model flips to drifted in health, and — with
 // Config.RebuildOnDrift — an early background rebuild starts.
 func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	var req feedbackRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.fail(w, http.StatusBadRequest, "malformed JSON: "+err.Error())
+	if !s.readJSON(w, r, &req) {
 		return
 	}
 	if req.TrueCount < 0 {
 		s.fail(w, http.StatusBadRequest, `"true_count" must be non-negative`)
 		return
 	}
-	model, ok := s.resolveModel(req.Model)
-	if !ok {
-		if req.Model == "" {
-			s.fail(w, http.StatusBadRequest, `"model" is required when several models are registered`)
-		} else {
-			s.fail(w, http.StatusNotFound, fmt.Sprintf("unknown model %q", req.Model))
-		}
+	model := s.resolveModel(w, req.Model)
+	if model == nil {
 		return
 	}
 
@@ -1112,12 +1071,41 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, body)
 }
 
-// resolveModel finds the target model: the named one, or the only one.
-func (s *Server) resolveModel(name string) (*Model, bool) {
-	if name == "" {
-		return s.reg.Single()
+// readJSON decodes the request body into v, refusing unknown fields. It
+// answers a failure itself — 413 for a body over Config.MaxBodyBytes, 400
+// for anything else — and reports whether v is usable.
+func (s *Server) readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	if err == nil {
+		return true
 	}
-	return s.reg.Get(name)
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		s.fail(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body over %d bytes", tooBig.Limit))
+	} else {
+		s.fail(w, http.StatusBadRequest, "malformed JSON: "+err.Error())
+	}
+	return false
+}
+
+// resolveModel finds the target model — the named one, or the only one.
+// It answers a failure itself (400 when the name is needed, 404 when no
+// model has it) and returns nil.
+func (s *Server) resolveModel(w http.ResponseWriter, name string) *Model {
+	if name == "" {
+		if m, ok := s.reg.Single(); ok {
+			return m
+		}
+		s.fail(w, http.StatusBadRequest, `"model" is required when several models are registered`)
+		return nil
+	}
+	if m, ok := s.reg.Get(name); ok {
+		return m
+	}
+	s.fail(w, http.StatusNotFound, fmt.Sprintf("unknown model %q", name))
+	return nil
 }
 
 // failParse renders a parse failure as a 400 carrying the error position,

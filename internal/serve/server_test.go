@@ -162,6 +162,25 @@ func TestEstimateBodyLimit(t *testing.T) {
 	}
 }
 
+// TestBodyLimitOnEveryJSONRoute: a body over MaxBodyBytes is a 413 on
+// every route that decodes JSON, not a 400 "malformed JSON" on some.
+func TestBodyLimitOnEveryJSONRoute(t *testing.T) {
+	srv := NewServer(Config{
+		Registry:     fig1Registry(t),
+		MaxBodyBytes: 256,
+		Logger:       slog.New(slog.NewTextHandler(io.Discard, nil)),
+	})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	big := fmt.Sprintf(`{"query":%q}`, strings.Repeat(" ", 1024))
+	for _, path := range []string{"/v1/estimate", "/v1/estimate/batch", "/v1/feedback", "/v1/ingest"} {
+		resp, out := postJSON(t, ts.URL, path, big)
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: status = %d, want 413 (body %v)", path, resp.StatusCode, out)
+		}
+	}
+}
+
 func TestEstimateCacheHit(t *testing.T) {
 	_, ts := newTestServer(t)
 	const body = `{"query":"FROM People p WHERE p.HomeOwner = true"}`

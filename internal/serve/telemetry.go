@@ -13,11 +13,20 @@ import (
 )
 
 // SLO objective indices into the server's burn-rate engine. The
-// objectives are fixed; their thresholds and targets come from Config.
+// objectives are fixed; their thresholds and the latency target come
+// from Config.
 const (
 	sloLatency = iota
 	sloErrors
 	sloQError
+)
+
+// The error and accuracy objectives' targets: the fraction of API
+// requests that must not fail with a 5xx, and the fraction of observed
+// q-errors that must stay within Config.SLOQErrorMax.
+const (
+	sloErrorTarget  = 0.999
+	sloQErrorTarget = 0.99
 )
 
 // newSLO builds the server's three-objective burn-rate engine from the
@@ -32,12 +41,12 @@ func newSLO(cfg Config) *obs.SLO {
 			},
 			{
 				Name:        "errors",
-				Target:      cfg.SLOErrorTarget,
+				Target:      sloErrorTarget,
 				Description: "requests do not fail with a 5xx",
 			},
 			{
 				Name:        "qerror",
-				Target:      cfg.SLOQErrorTarget,
+				Target:      sloQErrorTarget,
 				Description: fmt.Sprintf("observed q-error at most %.4g", cfg.SLOQErrorMax),
 			},
 		},

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"time"
 
 	"prmsel/internal/dataset"
 )
@@ -41,7 +42,7 @@ func (s *Store) SaveState(model string, gen int64, watermark uint64, db *dataset
 	if err := db.Encode(&payload); err != nil {
 		return fmt.Errorf("store: encode state %s: %w", model, err)
 	}
-	return s.writeAtomic(stateName(model, gen), Frame(payload.Bytes()))
+	return s.writeAtomic(stateName(model, gen), Frame(payload.Bytes()), time.Time{})
 }
 
 // RecoverState loads the ingest state persisted for one model generation.
@@ -72,18 +73,20 @@ func (s *Store) RecoverState(model string, gen int64) (watermark uint64, db *dat
 	return watermark, db, nil
 }
 
-// pruneStateLocked removes state artifacts whose generation no longer has
-// a snapshot on disk — called from the snapshot prune path so the two
-// artifact families age out together.
-func (s *Store) pruneStateLocked(model string) {
-	live := make(map[int64]bool)
-	for _, g := range s.generations(model) {
-		live[g] = true
-	}
+// pruneState removes state artifacts whose generation no longer has a
+// snapshot on disk — called from the snapshot prune path so the two
+// artifact families age out together. The state files are listed before
+// the snapshots: a state lands only after its snapshot, so a concurrent
+// save's fresh state always finds its snapshot live.
+func (s *Store) pruneState(model string) {
 	prefix := safeName(model) + "-"
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
 		return
+	}
+	live := make(map[int64]bool)
+	for _, g := range s.Generations(model) {
+		live[g] = true
 	}
 	for _, e := range entries {
 		n := e.Name()

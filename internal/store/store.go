@@ -5,11 +5,12 @@
 // restarted server publishes the last good model immediately instead of
 // relearning before its first estimate.
 //
-// Layout (one directory per store):
+// Layout (one directory per store; the directory listing is the only
+// index):
 //
-//	<dir>/manifest.json                  active generation per model
 //	<dir>/<model>-<generation>.snap      framed snapshot files
-//	<dir>/<file>.corrupt                 quarantined invalid snapshots
+//	<dir>/<model>-<generation>.state     ingest dataset state (state.go)
+//	<dir>/<file>.corrupt                 quarantined invalid files
 //	<dir>/*.tmp                          transient (removed on Open)
 //
 // Every snapshot file is a fixed header followed by the model's
@@ -25,15 +26,12 @@
 // same directory, fsync, atomic rename, directory fsync — a reader never
 // observes a half-written snapshot under its final name, and a crash at
 // any point leaves at worst a stray *.tmp plus the previous good
-// generation. The manifest is written with the same discipline after the
-// snapshot it points to, so it can never name a file that was not fully
-// durable first.
+// generation. A snapshot file's mtime is its persist time.
 //
-// Recovery trusts nothing: the manifest's active file is validated
-// (magic, version, length, checksum, full decode) and, when it is torn,
-// truncated, bit-flipped, or missing, recovery quarantines the invalid
-// file to <file>.corrupt and falls back to the next-newest on-disk
-// generation — never crashing, and never deleting evidence.
+// Recovery trusts nothing: it validates on-disk generations newest first
+// (magic, version, length, checksum, full decode) and, when one is torn,
+// truncated or bit-flipped, quarantines it to <file>.corrupt and falls
+// back to the next-newest — never crashing, and never deleting evidence.
 //
 // Fault injection: the injected points store.write, store.fsync, and
 // store.read (internal/faults) simulate crashes and I/O failures at each
@@ -44,7 +42,6 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -54,7 +51,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"prmsel/internal/core"
@@ -68,8 +64,6 @@ const (
 	Version = 1
 	// headerSize = magic + version byte + crc32 + payload length.
 	headerSize = len(Magic) + 1 + 4 + 8
-
-	manifestName = "manifest.json"
 )
 
 // ErrNoSnapshot reports that recovery found no valid generation at all.
@@ -80,13 +74,11 @@ var ErrNoSnapshot = errors.New("store: no recoverable snapshot")
 var ErrNotSnapshot = errors.New("store: not a framed snapshot")
 
 // Store is one on-disk model store. All methods are safe for concurrent
-// use; snapshot writes for different models serialize only on the
-// manifest update.
+// use: every write lands by an atomic rename, and pruning only removes
+// files older than the generations it keeps.
 type Store struct {
 	dir  string
 	keep int
-
-	mu sync.Mutex // guards the manifest read-modify-write cycle
 }
 
 // Open creates (if needed) and opens the store directory. keep bounds how
@@ -126,20 +118,6 @@ func safeName(model string) string {
 
 func snapName(model string, gen int64) string {
 	return fmt.Sprintf("%s-%08d.snap", safeName(model), gen)
-}
-
-// manifest is the fsync'd record of the active generation per model. It
-// is advisory: recovery validates whatever it points at and scans the
-// directory when the pointer is wrong.
-type manifest struct {
-	Version int                      `json:"version"`
-	Models  map[string]manifestEntry `json:"models"`
-}
-
-type manifestEntry struct {
-	Generation int64     `json:"generation"`
-	File       string    `json:"file"`
-	SavedAt    time.Time `json:"saved_at"`
 }
 
 // Frame wraps a core.Encode payload in the snapshot header.
@@ -183,41 +161,29 @@ func Payload(b []byte) ([]byte, error) {
 }
 
 // Save durably persists one generation of the named model: encode writes
-// the core.Encode payload. The snapshot file lands first (temp + fsync +
-// rename + dir fsync), then the manifest flips to it, then generations
-// older than the keep bound are pruned. A failure at any stage leaves the
-// previous state recoverable.
+// the core.Encode payload. The snapshot file lands (temp + fsync + rename
+// + dir fsync) with savedAt as its mtime, then generations older than the
+// keep bound are pruned. A failure at any stage leaves the previous state
+// recoverable.
 func (s *Store) Save(model string, gen int64, savedAt time.Time, encode func(io.Writer) error) error {
 	var payload bytes.Buffer
 	if err := encode(&payload); err != nil {
 		return fmt.Errorf("store: encode %s: %w", model, err)
 	}
-	name := snapName(model, gen)
-	if err := s.writeAtomic(name, Frame(payload.Bytes())); err != nil {
+	if err := s.writeAtomic(snapName(model, gen), Frame(payload.Bytes()), savedAt); err != nil {
 		return err
 	}
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	man, _ := s.readManifest()
-	if man.Models == nil {
-		man.Models = make(map[string]manifestEntry)
-	}
-	man.Version = Version
-	man.Models[model] = manifestEntry{Generation: gen, File: name, SavedAt: savedAt}
-	if err := s.writeManifest(man); err != nil {
-		return err
-	}
-	s.pruneLocked(model, gen)
+	s.prune(model, gen)
 	return nil
 }
 
 // writeAtomic is the crash-safe write protocol: temp file in the store
-// directory, full write, fsync, close, atomic rename, directory fsync.
-// The injected points store.write and store.fsync simulate a crash at
-// each stage — both leave a torn temp file behind (exactly what a real
-// kill would) and never touch the final name.
-func (s *Store) writeAtomic(name string, data []byte) error {
+// directory, full write, mtime (when non-zero), fsync, close, atomic
+// rename, directory fsync. The injected points store.write and
+// store.fsync simulate a crash at each stage — both leave a torn temp
+// file behind (exactly what a real kill would) and never touch the final
+// name.
+func (s *Store) writeAtomic(name string, data []byte, mtime time.Time) error {
 	tmp, err := os.CreateTemp(s.dir, name+".*.tmp")
 	if err != nil {
 		return fmt.Errorf("store: write %s: %w", name, err)
@@ -233,6 +199,12 @@ func (s *Store) writeAtomic(name string, data []byte) error {
 		tmp.Close()
 		os.Remove(tmp.Name())
 		return fmt.Errorf("store: write %s: %w", name, err)
+	}
+	if !mtime.IsZero() {
+		// Before the fsync, so the timestamp is as durable as the bytes.
+		// A failure leaves the write time, a moment later: not worth
+		// losing the snapshot over.
+		_ = os.Chtimes(tmp.Name(), mtime, mtime)
 	}
 	if ferr := faults.Inject("store.fsync"); ferr != nil {
 		// A crash between write and fsync: the data may never have left
@@ -265,29 +237,9 @@ func (s *Store) syncDir() {
 	}
 }
 
-func (s *Store) readManifest() (manifest, error) {
-	var man manifest
-	b, err := os.ReadFile(filepath.Join(s.dir, manifestName))
-	if err != nil {
-		return man, err
-	}
-	if err := json.Unmarshal(b, &man); err != nil {
-		return manifest{}, fmt.Errorf("store: manifest: %w", err)
-	}
-	return man, nil
-}
-
-func (s *Store) writeManifest(man manifest) error {
-	b, err := json.MarshalIndent(man, "", "  ")
-	if err != nil {
-		return fmt.Errorf("store: manifest: %w", err)
-	}
-	return s.writeAtomic(manifestName, append(b, '\n'))
-}
-
-// generations lists the model's on-disk snapshot generations, newest
-// first.
-func (s *Store) generations(model string) []int64 {
+// Generations lists the model's on-disk snapshot generations, newest
+// first — the store's only index.
+func (s *Store) Generations(model string) []int64 {
 	prefix := safeName(model) + "-"
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
@@ -310,14 +262,10 @@ func (s *Store) generations(model string) []int64 {
 	return gens
 }
 
-// Generations reports the model's on-disk snapshot generations, newest
-// first — operator introspection, also used by the prune tests.
-func (s *Store) Generations(model string) []int64 { return s.generations(model) }
-
-// pruneLocked removes generations older than the keep bound, never
-// touching the just-saved generation or quarantined files.
-func (s *Store) pruneLocked(model string, activeGen int64) {
-	gens := s.generations(model)
+// prune removes generations older than the keep bound, never touching
+// the just-saved generation or quarantined files.
+func (s *Store) prune(model string, activeGen int64) {
+	gens := s.Generations(model)
 	kept := 0
 	for _, g := range gens {
 		if g == activeGen || kept < s.keep {
@@ -326,7 +274,7 @@ func (s *Store) pruneLocked(model string, activeGen int64) {
 		}
 		os.Remove(filepath.Join(s.dir, snapName(model, g)))
 	}
-	s.pruneStateLocked(model)
+	s.pruneState(model)
 }
 
 // Recovered is the result of recovering one model from the store.
@@ -335,9 +283,9 @@ type Recovered struct {
 	Model *core.PRM
 	// Generation is the snapshot's generation number.
 	Generation int64
-	// SavedAt is when the snapshot was persisted: the manifest timestamp
-	// when the manifest named this file, the file mtime otherwise. It is
-	// the staleness anchor health reports for a recovered model.
+	// SavedAt is when the snapshot was persisted (the file's mtime, which
+	// Save sets to the time its caller passed). It is the staleness anchor
+	// health reports for a recovered model.
 	SavedAt time.Time
 	// File is the snapshot filename inside the store directory.
 	File string
@@ -346,51 +294,24 @@ type Recovered struct {
 	Quarantined []string
 }
 
-// Recover loads the newest valid generation of the named model. The
-// manifest's active file is tried first, then every other on-disk
-// generation, newest first. A candidate that fails validation (torn,
-// truncated, bit-flipped, version-skewed, or undecodable) is quarantined
-// to <file>.corrupt and recovery moves on; a candidate that fails to
-// read (I/O error) is skipped without quarantine. ErrNoSnapshot reports
-// that nothing valid remains.
+// Recover loads the newest valid generation of the named model, trying
+// every on-disk generation newest first. A candidate that fails
+// validation (torn, truncated, bit-flipped, version-skewed, or
+// undecodable) is quarantined to <file>.corrupt and recovery moves on; a
+// candidate that fails to read (gone, or an I/O error) is skipped without
+// quarantine. ErrNoSnapshot reports that nothing valid remains.
 func (s *Store) Recover(model string) (*Recovered, error) {
-	type candidate struct {
-		file    string
-		gen     int64
-		savedAt time.Time
-	}
-	var cands []candidate
-	seen := make(map[string]bool)
-
-	s.mu.Lock()
-	man, _ := s.readManifest()
-	s.mu.Unlock()
-	if ent, ok := man.Models[model]; ok && ent.File != "" {
-		cands = append(cands, candidate{file: ent.File, gen: ent.Generation, savedAt: ent.SavedAt})
-		seen[ent.File] = true
-	}
-	for _, g := range s.generations(model) {
-		name := snapName(model, g)
-		if seen[name] {
-			continue
-		}
-		var mtime time.Time
-		if fi, err := os.Stat(filepath.Join(s.dir, name)); err == nil {
-			mtime = fi.ModTime()
-		}
-		cands = append(cands, candidate{file: name, gen: g, savedAt: mtime})
-	}
-
 	rec := &Recovered{}
-	for _, c := range cands {
-		path := filepath.Join(s.dir, c.file)
+	for _, gen := range s.Generations(model) {
+		name := snapName(model, gen)
+		path := filepath.Join(s.dir, name)
 		if ferr := faults.Inject("store.read"); ferr != nil {
 			continue
 		}
 		b, err := os.ReadFile(path)
 		if err != nil {
-			// Missing or unreadable: the manifest may point at a pruned
-			// or lost generation. Not corruption — no quarantine.
+			// Pruned or lost since the listing, or unreadable: not
+			// corruption — no quarantine.
 			continue
 		}
 		payload, err := Payload(b)
@@ -402,14 +323,16 @@ func (s *Store) Recover(model string) (*Recovered, error) {
 			// Invalid bytes under a durable name: quarantine for
 			// forensics and fall back to the previous generation.
 			if qerr := os.Rename(path, path+".corrupt"); qerr == nil {
-				rec.Quarantined = append(rec.Quarantined, c.file+".corrupt")
+				rec.Quarantined = append(rec.Quarantined, name+".corrupt")
 			}
 			continue
 		}
+		if fi, err := os.Stat(path); err == nil {
+			rec.SavedAt = fi.ModTime()
+		}
 		rec.Model = m
-		rec.Generation = c.gen
-		rec.SavedAt = c.savedAt
-		rec.File = c.file
+		rec.Generation = gen
+		rec.File = name
 		return rec, nil
 	}
 	if len(rec.Quarantined) > 0 {

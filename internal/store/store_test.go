@@ -53,7 +53,10 @@ func TestSaveRecoverRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	st := mustOpen(t, dir, 3)
 	m := testModel(t)
-	mustSave(t, st, "fig1", 1, m)
+	savedAt := time.Now().Add(-time.Hour).Truncate(time.Second)
+	if err := st.Save("fig1", 1, savedAt, m.Encode); err != nil {
+		t.Fatal(err)
+	}
 
 	rec, err := st.Recover("fig1")
 	if err != nil {
@@ -65,8 +68,8 @@ func TestSaveRecoverRoundTrip(t *testing.T) {
 	if rec.Model == nil || rec.Model.StorageBytes() != m.StorageBytes() {
 		t.Errorf("recovered model differs: %v", rec.Model)
 	}
-	if rec.SavedAt.IsZero() {
-		t.Error("recovered SavedAt is zero; manifest timestamp lost")
+	if !rec.SavedAt.Equal(savedAt) {
+		t.Errorf("recovered SavedAt = %v, want the persist time %v", rec.SavedAt, savedAt)
 	}
 	if len(rec.Quarantined) != 0 {
 		t.Errorf("clean recovery quarantined %v", rec.Quarantined)
@@ -86,6 +89,24 @@ func TestRecoverPicksNewestGeneration(t *testing.T) {
 	}
 	if rec.Generation != 2 {
 		t.Errorf("recovered generation = %d, want 2", rec.Generation)
+	}
+}
+
+// TestRecoverPrefersNewestOverLastSaved: the newest valid generation on
+// disk wins, not the one saved last — a late save of an older generation
+// must not pull recovery backwards.
+func TestRecoverPrefersNewestOverLastSaved(t *testing.T) {
+	st := mustOpen(t, t.TempDir(), 3)
+	m := testModel(t)
+	mustSave(t, st, "fig1", 6, m)
+	mustSave(t, st, "fig1", 5, m)
+
+	rec, err := st.Recover("fig1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Generation != 6 {
+		t.Errorf("recovered generation = %d, want the newest, 6", rec.Generation)
 	}
 }
 
@@ -244,9 +265,9 @@ func TestRecoverTruncatedSnapshot(t *testing.T) {
 	}
 }
 
-// TestManifestPointsAtMissingGeneration deletes the file the manifest
-// names: recovery must fall back to scanning the directory, without
-// quarantining anything.
+// TestManifestPointsAtMissingGeneration deletes the newest generation's
+// file (the name is from when a manifest still named it): recovery must
+// serve the next generation without quarantining anything.
 func TestManifestPointsAtMissingGeneration(t *testing.T) {
 	dir := t.TempDir()
 	st := mustOpen(t, dir, 3)
@@ -266,24 +287,6 @@ func TestManifestPointsAtMissingGeneration(t *testing.T) {
 	}
 	if len(rec.Quarantined) != 0 {
 		t.Errorf("a missing file is not corruption; quarantined %v", rec.Quarantined)
-	}
-}
-
-// TestCorruptManifestFallsBackToScan breaks the manifest itself:
-// recovery still finds generations by scanning.
-func TestCorruptManifestFallsBackToScan(t *testing.T) {
-	dir := t.TempDir()
-	st := mustOpen(t, dir, 3)
-	mustSave(t, st, "fig1", 1, testModel(t))
-	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	rec, err := st.Recover("fig1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.Generation != 1 {
-		t.Errorf("recovered generation = %d, want 1", rec.Generation)
 	}
 }
 
@@ -377,7 +380,7 @@ func TestReadFaultSkipsWithoutQuarantine(t *testing.T) {
 	mustSave(t, st, "fig1", 1, m)
 	mustSave(t, st, "fig1", 2, m)
 
-	// First read (the manifest's gen 2) fails; the scan candidate works.
+	// First read (the newest, gen 2) fails; the next generation works.
 	faults.Set("store.read", faults.Fault{Err: errors.New("injected io error"), Times: 1})
 	rec, err := st.Recover("fig1")
 	if err != nil {

@@ -8,8 +8,11 @@
 #
 #   1. the restart recovers from the persisted snapshot (the startup log
 #      says "recovered from store" — timing-proof, unlike polling health
-#      before the background refresh clears the flag), and
-#   2. the recovered process answers /healthz and a real estimate.
+#      before the background refresh clears the flag),
+#   2. the recovered process serves a generation strictly above the one
+#      the killed process served (X-Prm-Gen): generations only grow,
+#      across restarts too, and
+#   3. the recovered process answers /healthz and a real estimate.
 #
 # The run also exercises the streaming write path: rows acknowledged by
 # POST /v1/ingest before the SIGKILL exist only in the write-ahead log
@@ -62,6 +65,13 @@ exact_count() {
 
 CELL="FROM People p WHERE p.Education = college AND p.Income = high AND p.HomeOwner = true"
 
+# served_gen — the generation an estimate reply carries in X-Prm-Gen.
+served_gen() {
+    curl -fsS -D - -o /dev/null "http://${ADDR}/v1/estimate" \
+        -d '{"query":"FROM People p WHERE p.Income = high"}' |
+        tr -d '\r' | sed -n 's/^[Xx]-[Pp][Rr][Mm]-[Gg][Ee][Nn]: *\([0-9][0-9]*\)$/\1/p'
+}
+
 say "first run: build fig1 and persist it to ${STORE} (ingest on, refit threshold out of reach)"
 "${WORK}/prmserved" -addr "${ADDR}" -datasets fig1 -store-dir "${STORE}" \
     -ingest -refit-rows 100000 \
@@ -94,6 +104,17 @@ case "${ING}" in
     exit 1
     ;;
 esac
+
+# The generation the first process serves, read before the rebuild below
+# can replace it: that one is on disk, whatever the kill interrupts.
+GEN1="$(served_gen)"
+case "${GEN1}" in
+'' | *[!0-9]*)
+    say "FAIL: no X-Prm-Gen on an estimate before the kill: '${GEN1}'"
+    exit 1
+    ;;
+esac
+say "first process serves generation ${GEN1}"
 
 # Give the write protocol something to be mid-flight in: kick a rebuild
 # and kill without waiting for it.
@@ -130,6 +151,20 @@ if ! grep -q "recovered from store" "${WORK}/run2.log"; then
     exit 1
 fi
 say "restart recovered from the persisted snapshot"
+
+GEN2="$(served_gen)"
+case "${GEN2}" in
+'' | *[!0-9]*)
+    say "FAIL: no X-Prm-Gen on an estimate after the restart: '${GEN2}'"
+    exit 1
+    ;;
+esac
+if [ "${GEN2}" -le "${GEN1}" ]; then
+    say "FAIL: restart serves generation ${GEN2}, not above the killed process's ${GEN1}"
+    cat "${WORK}/run2.log"
+    exit 1
+fi
+say "generations grew across the restart: ${GEN1} -> ${GEN2}"
 
 COUNT="$(exact_count "${CELL}")"
 if [ "${COUNT}" != "104" ]; then
