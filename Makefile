@@ -40,17 +40,20 @@ race:
 	$(GO) test -race ./internal/serve/... ./internal/cluster/... ./internal/httpretry/... ./internal/store/... ./internal/ingest/... ./internal/bayesnet/... ./internal/resilience/... ./internal/faults/...
 	$(GO) test -race -run TestConcurrent ./internal/core/...
 
-## fuzz: a short fuzzing pass over every decoder network bytes reach — the
-## model decoder (core.Decode: store recovery, POST .../load, LoadModel),
-## the store's snapshot frame, the ingest wire framing, and the estimate
-## query parser — each must return an error or a usable result on
-## arbitrary bytes, never panic. Corpus finds land in each package's
-## testdata/fuzz/ for `test` to replay forever.
+## fuzz: a short fuzzing pass over every decoder untrusted bytes reach —
+## the model decoder (core.Decode: store recovery, POST .../load,
+## LoadModel), the store's snapshot frame, the ingest wire framing, the
+## estimate query parser, and the CSV database reader (the one input
+## through which domains wider than 256 values reach the learner) — each
+## must return an error or a usable result on arbitrary bytes, never
+## panic. Corpus finds land in each package's testdata/fuzz/ for `test` to
+## replay forever.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=10s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzPayload -fuzztime=10s ./internal/store
 	$(GO) test -run='^$$' -fuzz=FuzzIngestRecord -fuzztime=10s ./internal/ingest
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=10s ./internal/queryparse
+	$(GO) test -run='^$$' -fuzz=FuzzReadDatabaseCSV -fuzztime=10s ./internal/dataset
 
 ## crash-smoke: the durability acceptance check as a live process — start
 ## prmserved with a store dir and ingest enabled, acknowledge rows that

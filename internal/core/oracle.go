@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"prmsel/internal/bayesnet"
 	"prmsel/internal/dataset"
@@ -93,40 +94,11 @@ func (o *prmOracle) CandidateParents(child int) []int {
 }
 
 // pairMI computes the mutual information between attribute child and one
-// candidate attribute parent, reading the parent through the foreign key
-// when it lives in a referenced table.
+// candidate attribute parent.
 func (o *prmOracle) pairMI(child, parent int) float64 {
-	cv, pv := o.vars[child], o.vars[parent]
-	t := o.db.Table(cv.Table)
-	childCol := t.Col(t.AttrIndex(cv.Attr))
-	var parentCol, refs []int32
-	if pv.Table == cv.Table {
-		parentCol = t.Col(t.AttrIndex(pv.Attr))
-	} else {
-		fi := -1
-		for j, fk := range t.ForeignKeys {
-			if fk.To == pv.Table {
-				fi = j
-				break
-			}
-		}
-		if fi < 0 {
-			return 0
-		}
-		ref := o.db.Table(pv.Table)
-		parentCol = ref.Col(ref.AttrIndex(pv.Attr))
-		refs = t.FKCol(fi)
-	}
-	c := learn.NewCounts([]int{cv.Card, pv.Card})
-	vals := make([]int32, 2)
-	for r := 0; r < t.Len(); r++ {
-		vals[0] = childCol[r]
-		if refs == nil {
-			vals[1] = parentCol[r]
-		} else {
-			vals[1] = parentCol[refs[r]]
-		}
-		c.Add(vals, 1)
+	c, err := attrCounts(o.db, o.vars, child, []int{parent})
+	if err != nil {
+		return 0
 	}
 	return c.MutualInformation()
 }
@@ -142,7 +114,7 @@ func (o *prmOracle) Fit(child int, parents []int, maxBytes int) ([]int, learn.Fi
 }
 
 // fitAttr fits the CPD of an attribute variable. Cross-table parents are
-// resolved through the (unique) foreign key to their table; for each such
+// read through the table's first foreign key to theirs; for each such
 // key the join indicator is prepended to the expanded parent list and the
 // CPD is wrapped so that the indicator's false branch falls back to the
 // attribute's marginal, per the paper's constraint that the CPD is only
@@ -152,59 +124,22 @@ func (o *prmOracle) fitAttr(child int, parents []int, maxBytes int) ([]int, lear
 	t := o.db.Table(cv.Table)
 	childIdx := t.AttrIndex(cv.Attr)
 
-	// Resolve each parent to a column accessor.
-	type accessor struct {
-		col  []int32
-		refs []int32 // nil for same-table parents
-	}
-	acc := make([]accessor, len(parents))
-	cards := make([]int, 1+len(parents))
-	cards[0] = cv.Card
 	var fksUsed []int // indexes into t.ForeignKeys, in first-use order
-	fkSeen := make(map[int]bool)
-	for i, p := range parents {
+	for _, p := range parents {
 		pv := o.vars[p]
 		if pv.Kind != AttrVar {
 			return nil, learn.FitResult{}, fmt.Errorf("core: %s cannot take join indicator %s as a direct parent", cv.Name(), pv.Name())
 		}
-		cards[i+1] = pv.Card
 		if pv.Table == cv.Table {
-			acc[i] = accessor{col: t.Col(t.AttrIndex(pv.Attr))}
 			continue
 		}
-		fi := -1
-		for j, fk := range t.ForeignKeys {
-			if fk.To == pv.Table {
-				fi = j
-				break
-			}
-		}
-		if fi < 0 {
-			return nil, learn.FitResult{}, fmt.Errorf("core: %s has no foreign key to %s (parent %s)", cv.Table, pv.Table, pv.Name())
-		}
-		ref := o.db.Table(pv.Table)
-		acc[i] = accessor{col: ref.Col(ref.AttrIndex(pv.Attr)), refs: t.FKCol(fi)}
-		if !fkSeen[fi] {
-			fkSeen[fi] = true
+		if fi := firstFK(t, pv.Table); fi >= 0 && !slices.Contains(fksUsed, fi) {
 			fksUsed = append(fksUsed, fi)
 		}
 	}
-
-	// One scan of the table (each row paired with its unique join partners)
-	// accumulates the sufficient statistics.
-	counts := learn.NewCounts(cards)
-	vals := make([]int32, 1+len(parents))
-	childCol := t.Col(childIdx)
-	for r := 0; r < t.Len(); r++ {
-		vals[0] = childCol[r]
-		for i := range acc {
-			if acc[i].refs == nil {
-				vals[i+1] = acc[i].col[r]
-			} else {
-				vals[i+1] = acc[i].col[acc[i].refs[r]]
-			}
-		}
-		counts.Add(vals, 1)
+	counts, err := attrCounts(o.db, o.vars, child, parents)
+	if err != nil {
+		return nil, learn.FitResult{}, err
 	}
 
 	// Reserve space for the join guards the wrapper adds below (one split
@@ -319,130 +254,11 @@ func wrapTableWithJoinGuards(fitted *bayesnet.TableCPD, k int, marginal []float6
 	return out
 }
 
-// fitJoin fits the CPD of a join indicator. Its sample space is the cross
-// product R×S of its two tables; under referential integrity each row of R
-// joins exactly one row of S, so the true-count per parent configuration
-// comes from one scan of R and the pair totals from the two per-side
-// marginal contingencies.
+// fitJoin fits the CPD of a join indicator from its pair counts over R×S.
 func (o *prmOracle) fitJoin(child int, parents []int, maxBytes int) (learn.FitResult, error) {
-	cv := o.vars[child]
-	t := o.db.Table(cv.Table)
-	s := o.db.Table(cv.Ref)
-	fi := t.FKIndex(cv.FK)
-	refs := t.FKCol(fi)
-
-	var fromIdx, toIdx []int
-	for _, p := range parents {
-		pv := o.vars[p]
-		if pv.Kind != AttrVar {
-			return learn.FitResult{}, fmt.Errorf("core: join indicator %s cannot take %s as parent", cv.Name(), pv.Name())
-		}
-		switch pv.Table {
-		case cv.Table:
-			fromIdx = append(fromIdx, t.AttrIndex(pv.Attr))
-		case cv.Ref:
-			toIdx = append(toIdx, s.AttrIndex(pv.Attr))
-		default:
-			return learn.FitResult{}, fmt.Errorf("core: join indicator %s parent %s outside its tables", cv.Name(), pv.Name())
-		}
+	js, err := joinCounts(o.db, o.vars, child, parents)
+	if err != nil {
+		return learn.FitResult{}, err
 	}
-	// Rebuild the parent order used below: from-side parents first, then
-	// to-side. Fit must see the same order as the caller's parent list, so
-	// reorder `parents` accordingly — done by constructing cards/accessors
-	// in the caller's order instead.
-	cards := make([]int, 1+len(parents))
-	cards[0] = 2
-	for i, p := range parents {
-		cards[i+1] = o.vars[p].Card
-	}
-	counts := learn.NewCounts(cards)
-
-	// True counts: one scan of R.
-	vals := make([]int32, 1+len(parents))
-	vals[0] = JoinTrue
-	for r := 0; r < t.Len(); r++ {
-		sRow := refs[r]
-		for i, p := range parents {
-			pv := o.vars[p]
-			if pv.Table == cv.Table {
-				vals[i+1] = t.Col(t.AttrIndex(pv.Attr))[r]
-			} else {
-				vals[i+1] = s.Col(s.AttrIndex(pv.Attr))[sRow]
-			}
-		}
-		counts.Add(vals, 1)
-	}
-
-	// Pair totals per configuration: product of the two side contingencies.
-	fromCells := sideContingency(t, parents, o.vars, cv.Table)
-	toCells := sideContingency(s, parents, o.vars, cv.Ref)
-	vals[0] = JoinFalse
-	for _, fc := range fromCells {
-		for _, tc := range toCells {
-			for i := range parents {
-				switch {
-				case fc.vals[i] >= 0:
-					vals[i+1] = fc.vals[i]
-				case tc.vals[i] >= 0:
-					vals[i+1] = tc.vals[i]
-				}
-			}
-			total := fc.n * tc.n
-			vals[0] = JoinTrue
-			trueN := counts.Cells[counts.Key(vals)]
-			vals[0] = JoinFalse
-			falseN := total - trueN
-			if falseN > 0 {
-				counts.Add(vals, falseN)
-			}
-		}
-	}
-
-	fr := learn.FitCPD(o.cfg.Fit.Kind, counts, o.cfg.Fit.Tree, maxBytes)
-	return fr, nil
-}
-
-// sideCell is one non-zero cell of a per-side contingency; vals aligns with
-// the full parent list, with -1 for parents on the other side.
-type sideCell struct {
-	vals []int32
-	n    float64
-}
-
-// sideContingency groups tbl's rows by the parents that live on tbl's side.
-func sideContingency(tbl *dataset.Table, parents []int, vars []Var, side string) []sideCell {
-	var idxs []int // positions in the parent list on this side
-	var cols [][]int32
-	for i, p := range parents {
-		if vars[p].Table == side {
-			idxs = append(idxs, i)
-			cols = append(cols, tbl.Col(tbl.AttrIndex(vars[p].Attr)))
-		}
-	}
-	agg := make(map[string]*sideCell)
-	key := make([]byte, len(idxs))
-	for r := 0; r < tbl.Len(); r++ {
-		for i := range idxs {
-			key[i] = byte(cols[i][r])
-		}
-		k := string(key)
-		c, ok := agg[k]
-		if !ok {
-			vals := make([]int32, len(parents))
-			for i := range vals {
-				vals[i] = -1
-			}
-			for i, pi := range idxs {
-				vals[pi] = cols[i][r]
-			}
-			c = &sideCell{vals: vals}
-			agg[k] = c
-		}
-		c.n++
-	}
-	out := make([]sideCell, 0, len(agg))
-	for _, c := range agg {
-		out = append(out, *c)
-	}
-	return out
+	return learn.FitCPD(o.cfg.Fit.Kind, js.derive(), o.cfg.Fit.Tree, maxBytes), nil
 }

@@ -2,87 +2,224 @@ package core
 
 import (
 	"fmt"
+	"maps"
 
 	"prmsel/internal/dataset"
 	"prmsel/internal/learn"
 )
 
-// ModelStats is the model's complete sufficient statistics in
-// incrementally-maintainable form — the structure that turns parameter
-// maintenance (paper §6) into an O(delta) update instead of a rescan.
+// Sufficient statistics (paper §3.2, §4, §6). Every CPD is learned, refit
+// and scored from its (child | parents) counts, and this file is the one
+// place that reads them from tables:
 //
-// Attribute variables keep one learn.Stats contingency each: one
-// observation per row, join-indicator parents read as constant true and
-// cross-table parents resolved through the foreign key, exactly as the
-// scan-based refit streams them. An insert touches one cell.
+//   - An attribute observes each row of its table once: its own value, a
+//     same-table parent from the row, a parent in another table through
+//     the row's first foreign key to that table, and a join-indicator
+//     parent as true (the rows are exactly the joined pairs).
+//   - A join indicator's sample space is the cross product R×S of its two
+//     tables, with parents on the referenced side read through its own key.
+//     Under referential integrity each row of R joins exactly one row of S,
+//     so one scan of R yields the true pairs and, with one scan of S, the
+//     two per-side contingencies whose product is the pair total per parent
+//     configuration. The false count is that total minus the true pairs,
+//     derived in time proportional to the occupied side cells, not |R|·|S|.
 //
-// Join indicators decompose into three maintainable pieces: the
-// true-pair contingency over the full parent configuration (each row of
-// the referencing table contributes one joined pair), and the two
-// per-side contingencies whose product gives the R×S pair total per
-// configuration. The false counts — which name every pair in the cross
-// product and so cannot be maintained directly — are derived at refit
-// time as (from × to) − true per configuration, in time proportional to
-// the number of occupied side cells, not |R|·|S|.
-//
-// Inserts compose cleanly under referential integrity: a new row of the
-// referencing table adds one true pair and one from-side cell; a new row
-// of the referenced table adds one to-side cell and no true pair, because
-// no existing row references it yet. The statistics are append-oriented
-// at this level (the relational write path has no deletes — a deleted row
-// would invalidate row-index foreign keys); set-level deletes live in
-// learn.Stats.ApplyDelta for the non-relational case.
-//
-// All maintained weights are integer-valued and far below 2^53, so the
-// derived counts — and therefore the refit divisions — are bit-for-bit
-// identical to what a scratch rescan produces. RefitFromStats is the
-// cheap half of the closed adaptive loop; the differential tests pin the
-// equality.
-type ModelStats struct {
-	m     *PRM
-	attr  []*learn.Stats // indexed by var id; nil for join indicators
-	joins []*joinStats   // indexed by var id; nil for attributes
-	rows  map[string]int64
+// Cells are keyed mixed-radix over [child, parents...] (learn.Counts), so
+// every value of every domain has a cell of its own. All weights are
+// integers far below 2^53, so float64 accumulation is exact and
+// independent of order: a count grown row by row through ApplyInsert is
+// bit-for-bit the count a rescan of the final tables produces.
+
+// column is one dimension of an observation read from a row r of some
+// table: vals[r], or vals[refs[r]] when the value lives in a referenced
+// table, scaled by the dimension's mixed-radix stride.
+type column struct {
+	vals, refs []int32
+	stride     uint64
 }
 
-// joinStats is the decomposed contingency of one join indicator.
-type joinStats struct {
-	cards     []int // full counts dimensions: [2, parent cards...]
-	truePairs *learn.Stats
-	from, to  *sideStats
+// reader computes an observation's cell key from a row: a constant base
+// for the dimensions with a fixed value, plus one term per column. Its
+// columns alias live table columns, which an append may reallocate, so a
+// reader is resolved afresh for every scan.
+type reader struct {
+	base uint64
+	cols []column
 }
 
-// sideStats is one side's marginal contingency: rows of one table grouped
-// by the join parents that live on that side.
-type sideStats struct {
-	idxs  []int // positions in the parent list on this side
-	cards []int // cardinalities of those parents
-	cells map[uint64]float64
-}
-
-func newSideStats(idxs []int, cards []int) *sideStats {
-	return &sideStats{idxs: idxs, cards: cards, cells: make(map[uint64]float64)}
-}
-
-// key packs this side's parent values (aligned with idxs) mixed-radix.
-func (s *sideStats) key(vals []int32) uint64 {
-	var k, stride uint64 = 0, 1
-	for i, v := range vals {
-		k += uint64(v) * stride
-		stride *= uint64(s.cards[i])
+func (rd *reader) key(r int) uint64 {
+	k := rd.base
+	for i := range rd.cols {
+		c := &rd.cols[i]
+		if c.refs == nil {
+			k += uint64(c.vals[r]) * c.stride
+		} else {
+			k += uint64(c.vals[c.refs[r]]) * c.stride
+		}
 	}
 	return k
 }
 
-func (s *sideStats) unpack(key uint64, vals []int32) {
-	for i, card := range s.cards {
-		vals[i] = int32(key % uint64(card))
-		key /= uint64(card)
+// count adds one observation of weight 1 per row in [lo, hi).
+func (rd *reader) count(c *learn.Counts, lo, hi int) {
+	for r := lo; r < hi; r++ {
+		c.AddKey(rd.key(r), 1)
 	}
 }
 
-func (s *sideStats) add(vals []int32, w float64) {
-	s.cells[s.key(vals)] += w
+// countCards returns the dimensions of child's counts: its own
+// cardinality, then each parent's.
+func countCards(vars []Var, child int, parents []int) []int {
+	cards := make([]int, 1+len(parents))
+	cards[0] = vars[child].Card
+	for i, p := range parents {
+		cards[i+1] = vars[p].Card
+	}
+	return cards
+}
+
+// firstFK returns the index of t's first foreign key to table, or -1: the
+// key through which an attribute of t reads a parent in that table.
+func firstFK(t *dataset.Table, table string) int {
+	for j, fk := range t.ForeignKeys {
+		if fk.To == table {
+			return j
+		}
+	}
+	return -1
+}
+
+// attrReader resolves attribute child's observations given parents, one
+// per row of its table. cols is scratch space for the reader's columns.
+func attrReader(db *dataset.Database, vars []Var, child int, parents []int, cols []column) (reader, error) {
+	v := vars[child]
+	t := db.Table(v.Table)
+	rd := reader{cols: append(cols[:0], column{vals: t.Col(t.AttrIndex(v.Attr)), stride: 1})}
+	stride := uint64(v.Card)
+	for _, p := range parents {
+		pv := vars[p]
+		switch {
+		case pv.Kind == JoinVar:
+			rd.base += uint64(JoinTrue) * stride
+		case pv.Table == v.Table:
+			rd.cols = append(rd.cols, column{vals: t.Col(t.AttrIndex(pv.Attr)), stride: stride})
+		default:
+			fi := firstFK(t, pv.Table)
+			if fi < 0 {
+				return reader{}, fmt.Errorf("core: %s has no foreign key to %s (parent %s)", v.Table, pv.Table, pv.Name())
+			}
+			ref := db.Table(pv.Table)
+			rd.cols = append(rd.cols, column{vals: ref.Col(ref.AttrIndex(pv.Attr)), refs: t.FKCol(fi), stride: stride})
+		}
+		stride *= uint64(pv.Card)
+	}
+	return rd, nil
+}
+
+// attrCounts counts attribute child's observations given parents over its
+// whole table.
+func attrCounts(db *dataset.Database, vars []Var, child int, parents []int) (*learn.Counts, error) {
+	rd, err := attrReader(db, vars, child, parents, nil)
+	if err != nil {
+		return nil, err
+	}
+	c := learn.NewCounts(countCards(vars, child, parents))
+	rd.count(c, 0, db.Table(vars[child].Table).Len())
+	return c, nil
+}
+
+// joinStats is a join indicator's contingency in maintainable form: the
+// true pairs, and the two per-side contingencies whose product is the
+// R×S pair total per parent configuration. All three are keyed over the
+// indicator's full [indicator, parents...] dimensions; a side's keys hold
+// zero in every dimension but its own parents', so a pair's key is the sum
+// of its two side keys plus the indicator's value.
+type joinStats struct {
+	pairs, from, to *learn.Counts
+}
+
+// joinReaders resolves join indicator child's two sides given parents:
+// from reads a referencing row's parents, to a referenced row's, and refs
+// names the referenced row each referencing row joins. fromCols and
+// toCols are scratch space for the readers' columns.
+func joinReaders(db *dataset.Database, vars []Var, child int, parents []int, fromCols, toCols []column) (from, to reader, refs []int32, err error) {
+	v := vars[child]
+	t, s := db.Table(v.Table), db.Table(v.Ref)
+	from.cols, to.cols = fromCols[:0], toCols[:0]
+	stride := uint64(v.Card)
+	for _, p := range parents {
+		pv := vars[p]
+		switch {
+		case pv.Kind != AttrVar:
+			return reader{}, reader{}, nil, fmt.Errorf("core: join indicator %s cannot take %s as parent", v.Name(), pv.Name())
+		case pv.Table == v.Table:
+			from.cols = append(from.cols, column{vals: t.Col(t.AttrIndex(pv.Attr)), stride: stride})
+		case pv.Table == v.Ref:
+			to.cols = append(to.cols, column{vals: s.Col(s.AttrIndex(pv.Attr)), stride: stride})
+		default:
+			return reader{}, reader{}, nil, fmt.Errorf("core: join indicator %s parent %s outside its tables", v.Name(), pv.Name())
+		}
+		stride *= uint64(pv.Card)
+	}
+	return from, to, t.FKCol(t.FKIndex(v.FK)), nil
+}
+
+// joinCounts scans both tables of join indicator child given parents.
+func joinCounts(db *dataset.Database, vars []Var, child int, parents []int) (*joinStats, error) {
+	from, to, refs, err := joinReaders(db, vars, child, parents, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	cards := countCards(vars, child, parents)
+	js := &joinStats{pairs: learn.NewCounts(cards), from: learn.NewCounts(cards), to: learn.NewCounts(cards)}
+	js.addFrom(&from, &to, refs, 0, len(refs))
+	to.count(js.to, 0, db.Table(vars[child].Ref).Len())
+	return js, nil
+}
+
+// addFrom folds referencing rows [lo, hi): each is one from-side
+// observation and one true pair with the row it references.
+func (js *joinStats) addFrom(from, to *reader, refs []int32, lo, hi int) {
+	for r := lo; r < hi; r++ {
+		f := from.key(r)
+		js.from.AddKey(f, 1)
+		js.pairs.AddKey(uint64(JoinTrue)+f+to.key(int(refs[r])), 1)
+	}
+}
+
+// derive materializes the join indicator's full contingency: the true
+// pairs plus, per occupied (from, to) configuration pair, the non-joining
+// remainder of the cross product.
+func (js *joinStats) derive() *learn.Counts {
+	c := &learn.Counts{Cards: js.pairs.Cards, Cells: maps.Clone(js.pairs.Cells), N: js.pairs.N}
+	for fk, fn := range js.from.Cells {
+		for tk, tn := range js.to.Cells {
+			k := fk + tk // the indicator's dimension has stride 1
+			if n := fn*tn - js.pairs.Cells[k+uint64(JoinTrue)]; n > 0 {
+				c.AddKey(k+uint64(JoinFalse), n)
+			}
+		}
+	}
+	return c
+}
+
+// ModelStats is the model's complete sufficient statistics in
+// incrementally maintainable form — the structure that turns parameter
+// maintenance (paper §6) into an O(delta) update instead of a rescan: an
+// attribute's counts, and a join indicator's true pairs and side
+// contingencies (joinStats).
+//
+// Inserts compose cleanly under referential integrity: a new row of the
+// referencing table adds one true pair and one from-side observation; a
+// new row of the referenced table adds one to-side observation and no
+// true pair, because no existing row references it yet. The relational
+// write path has no deletes (a deleted row would invalidate row-index
+// foreign keys), so the statistics only grow.
+type ModelStats struct {
+	m     *PRM
+	attr  []*learn.Counts // indexed by var id; nil for join indicators
+	joins []*joinStats    // indexed by var id; nil for attributes
+	rows  map[string]int64
 }
 
 // BuildStats scans db once and returns the model's full sufficient
@@ -94,7 +231,7 @@ func (m *PRM) BuildStats(db *dataset.Database) (*ModelStats, error) {
 	}
 	st := &ModelStats{
 		m:     m,
-		attr:  make([]*learn.Stats, len(m.vars)),
+		attr:  make([]*learn.Counts, len(m.vars)),
 		joins: make([]*joinStats, len(m.vars)),
 		rows:  make(map[string]int64),
 	}
@@ -102,103 +239,24 @@ func (m *PRM) BuildStats(db *dataset.Database) (*ModelStats, error) {
 		st.rows[tn] = int64(db.Table(tn).Len())
 	}
 	for id, v := range m.vars {
+		var err error
 		if v.Kind == AttrVar {
-			cards := make([]int, 1+len(m.parents[id]))
-			cards[0] = v.Card
-			for i, p := range m.parents[id] {
-				cards[i+1] = m.vars[p].Card
-			}
-			s := learn.NewStats(cards)
-			vals := make([]int32, len(cards))
-			err := m.forEachSample(db, id, func(smp sample) {
-				vals[0] = smp.child
-				copy(vals[1:], smp.parents)
-				s.Add(vals, smp.w)
-			})
-			if err != nil {
-				return nil, err
-			}
-			st.attr[id] = s
-			continue
+			st.attr[id], err = attrCounts(db, m.vars, id, m.parents[id])
+		} else {
+			st.joins[id], err = joinCounts(db, m.vars, id, m.parents[id])
 		}
-		js, err := m.buildJoinStats(db, id)
 		if err != nil {
 			return nil, err
 		}
-		st.joins[id] = js
 	}
 	return st, nil
-}
-
-// buildJoinStats scans the two tables of join indicator id.
-func (m *PRM) buildJoinStats(db *dataset.Database, id int) (*joinStats, error) {
-	v := m.vars[id]
-	parents := m.parents[id]
-	t := db.Table(v.Table)
-	ref := db.Table(v.Ref)
-	refs := t.FKCol(t.FKIndex(v.FK))
-
-	cards := make([]int, 1+len(parents))
-	cards[0] = 2
-	for i, p := range parents {
-		cards[i+1] = m.vars[p].Card
-	}
-	js := &joinStats{cards: cards, truePairs: learn.NewStats(cards)}
-	var fromIdx, toIdx []int
-	var fromCards, toCards []int
-	for i, p := range parents {
-		pv := m.vars[p]
-		switch pv.Table {
-		case v.Table:
-			fromIdx = append(fromIdx, i)
-			fromCards = append(fromCards, pv.Card)
-		case v.Ref:
-			toIdx = append(toIdx, i)
-			toCards = append(toCards, pv.Card)
-		default:
-			return nil, fmt.Errorf("core: join indicator %s parent %s outside its tables", v.Name(), pv.Name())
-		}
-	}
-	js.from = newSideStats(fromIdx, fromCards)
-	js.to = newSideStats(toIdx, toCards)
-
-	// True pairs and the from-side contingency: one scan of the
-	// referencing table.
-	vals := make([]int32, len(cards))
-	side := make([]int32, len(fromIdx))
-	for r := 0; r < t.Len(); r++ {
-		vals[0] = JoinTrue
-		for i, p := range parents {
-			pv := m.vars[p]
-			if pv.Table == v.Table {
-				vals[i+1] = t.Col(t.AttrIndex(pv.Attr))[r]
-			} else {
-				vals[i+1] = ref.Col(ref.AttrIndex(pv.Attr))[refs[r]]
-			}
-		}
-		js.truePairs.Add(vals, 1)
-		for i, pi := range fromIdx {
-			side[i] = vals[pi+1]
-		}
-		js.from.add(side, 1)
-	}
-	// To-side contingency: one scan of the referenced table.
-	side = make([]int32, len(toIdx))
-	for r := 0; r < ref.Len(); r++ {
-		for i, pi := range toIdx {
-			p := parents[pi]
-			side[i] = ref.Col(ref.AttrIndex(m.vars[p].Attr))[r]
-		}
-		js.to.add(side, 1)
-	}
-	return js, nil
 }
 
 // ApplyInsert folds one just-appended row of the named table into the
 // statistics. It must be called after the row is in db (the append-then-
 // apply discipline), so foreign-key partners resolve through the live
-// columns. Weight bookkeeping is O(number of model variables touching the
-// table), independent of table sizes.
+// columns. Its cost is O(number of model variables touching the table),
+// independent of table sizes.
 func (st *ModelStats) ApplyInsert(db *dataset.Database, table string, row int) error {
 	t := db.Table(table)
 	if t == nil {
@@ -208,143 +266,50 @@ func (st *ModelStats) ApplyInsert(db *dataset.Database, table string, row int) e
 		return fmt.Errorf("core: stats: table %s row %d out of range [0,%d)", table, row, t.Len())
 	}
 	m := st.m
+	// Stack scratch for the readers' columns, so an insert allocates
+	// nothing; a variable with more than seven parents spills to the heap.
+	var fromCols, toCols [8]column
 	for id, v := range m.vars {
 		switch {
 		case v.Kind == AttrVar && v.Table == table:
-			s := st.attr[id]
-			vals := make([]int32, 1+len(m.parents[id]))
-			if err := m.attrRowObs(db, id, row, vals); err != nil {
+			rd, err := attrReader(db, m.vars, id, m.parents[id], fromCols[:])
+			if err != nil {
 				return err
 			}
-			s.Add(vals, 1)
-		case v.Kind == JoinVar && v.Table == table:
-			if err := st.joins[id].applyFromInsert(m, db, id, row); err != nil {
+			rd.count(st.attr[id], row, row+1)
+		case v.Kind == JoinVar && (v.Table == table || v.Ref == table):
+			from, to, refs, err := joinReaders(db, m.vars, id, m.parents[id], fromCols[:], toCols[:])
+			if err != nil {
 				return err
 			}
-		case v.Kind == JoinVar && v.Ref == table:
-			st.joins[id].applyToInsert(m, db, id, row)
+			if v.Table == table {
+				st.joins[id].addFrom(&from, &to, refs, row, row+1)
+			} else {
+				to.count(st.joins[id].to, row, row+1)
+			}
 		}
 	}
 	st.rows[table]++
 	return nil
 }
 
-// attrRowObs fills vals (child first, then parents in model order) with
-// attribute variable id's observation at row r — the single-row form of
-// forEachSample's attribute path.
-func (m *PRM) attrRowObs(db *dataset.Database, id, r int, vals []int32) error {
-	v := m.vars[id]
-	t := db.Table(v.Table)
-	vals[0] = t.Col(t.AttrIndex(v.Attr))[r]
-	for i, p := range m.parents[id] {
-		pv := m.vars[p]
-		switch {
-		case pv.Kind == JoinVar:
-			vals[i+1] = JoinTrue
-		case pv.Table == v.Table:
-			vals[i+1] = t.Col(t.AttrIndex(pv.Attr))[r]
-		default:
-			fi := -1
-			for j, fk := range t.ForeignKeys {
-				if fk.To == pv.Table {
-					fi = j
-					break
-				}
-			}
-			if fi < 0 {
-				return fmt.Errorf("core: %s has no foreign key to %s", v.Table, pv.Table)
-			}
-			ref := db.Table(pv.Table)
-			vals[i+1] = ref.Col(ref.AttrIndex(pv.Attr))[t.FKCol(fi)[r]]
-		}
-	}
-	return nil
-}
-
-// applyFromInsert folds one new referencing-table row: one true pair with
-// its join partner, one from-side cell.
-func (js *joinStats) applyFromInsert(m *PRM, db *dataset.Database, id, row int) error {
-	v := m.vars[id]
-	parents := m.parents[id]
-	t := db.Table(v.Table)
-	ref := db.Table(v.Ref)
-	sRow := t.FKCol(t.FKIndex(v.FK))[row]
-	vals := make([]int32, 1+len(parents))
-	vals[0] = JoinTrue
-	for i, p := range parents {
-		pv := m.vars[p]
-		if pv.Table == v.Table {
-			vals[i+1] = t.Col(t.AttrIndex(pv.Attr))[row]
-		} else {
-			vals[i+1] = ref.Col(ref.AttrIndex(pv.Attr))[sRow]
-		}
-	}
-	js.truePairs.Add(vals, 1)
-	side := make([]int32, len(js.from.idxs))
-	for i, pi := range js.from.idxs {
-		side[i] = vals[pi+1]
-	}
-	js.from.add(side, 1)
-	return nil
-}
-
-// applyToInsert folds one new referenced-table row: one to-side cell. No
-// true pair — under the append discipline nothing references it yet.
-func (js *joinStats) applyToInsert(m *PRM, db *dataset.Database, id, row int) {
-	v := m.vars[id]
-	ref := db.Table(v.Ref)
-	side := make([]int32, len(js.to.idxs))
-	for i, pi := range js.to.idxs {
-		p := m.parents[id][pi]
-		side[i] = ref.Col(ref.AttrIndex(m.vars[p].Attr))[row]
-	}
-	js.to.add(side, 1)
-}
-
-// derive materializes the join indicator's full contingency: the true
-// pairs plus, per occupied (from, to) configuration pair, the non-joining
-// remainder of the cross product.
-func (js *joinStats) derive() *learn.Counts {
-	c := learn.NewCounts(js.cards)
-	tp := js.truePairs.Counts()
-	for k, w := range tp.Cells {
-		c.AddKey(k, w)
-	}
-	vals := make([]int32, len(js.cards))
-	fromVals := make([]int32, len(js.from.idxs))
-	toVals := make([]int32, len(js.to.idxs))
-	for fk, fn := range js.from.cells {
-		js.from.unpack(fk, fromVals)
-		for tk, tn := range js.to.cells {
-			js.to.unpack(tk, toVals)
-			for i, pi := range js.from.idxs {
-				vals[pi+1] = fromVals[i]
-			}
-			for i, pi := range js.to.idxs {
-				vals[pi+1] = toVals[i]
-			}
-			total := fn * tn
-			vals[0] = JoinTrue
-			trueN := tp.Cells[tp.Key(vals)]
-			if falseN := total - trueN; falseN > 0 {
-				vals[0] = JoinFalse
-				c.Add(vals, falseN)
-			}
-		}
-	}
-	return c
-}
-
 // Rows reports the maintained row count of one table.
 func (st *ModelStats) Rows(table string) int64 { return st.rows[table] }
 
+// counts returns variable id's full contingency.
+func (st *ModelStats) counts(id int) *learn.Counts {
+	if c := st.attr[id]; c != nil {
+		return c
+	}
+	return st.joins[id].derive()
+}
+
 // RefitFromStats re-estimates every CPD's parameters from the maintained
-// statistics, keeping the structure fixed — the O(delta-derived) twin of
-// RefitParameters: no table scan, cost proportional to occupied contingency
-// cells. Like the scan-based refit it clones the current epoch's CPDs,
-// refits the clones, and atomically publishes a fresh epoch (which carries
-// the refreshed table sizes and an empty compiled-query cache); readers
-// are never blocked, and a failed refit publishes nothing.
+// statistics, keeping the structure fixed: no table scan, cost
+// proportional to occupied contingency cells. It clones the current
+// epoch's CPDs, refits the clones, and atomically publishes a fresh epoch
+// (which carries the maintained table sizes and an empty compiled-query
+// cache); readers are never blocked, and a failed refit publishes nothing.
 func (m *PRM) RefitFromStats(st *ModelStats) error {
 	if st.m != m {
 		return fmt.Errorf("core: RefitFromStats: statistics belong to a different model")
@@ -354,13 +319,7 @@ func (m *PRM) RefitFromStats(st *ModelStats) error {
 	cur := m.params()
 	next := m.cloneEpochLocked(cur)
 	for id := range m.vars {
-		var c *learn.Counts
-		if s := st.attr[id]; s != nil {
-			c = s.Counts()
-		} else {
-			c = st.joins[id].derive()
-		}
-		if err := learn.RefitCPD(next.cpds[id], c); err != nil {
+		if err := learn.RefitCPD(next.cpds[id], st.counts(id)); err != nil {
 			return fmt.Errorf("core: refit %s: %w", m.vars[id].Name(), err)
 		}
 	}

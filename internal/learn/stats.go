@@ -6,102 +6,19 @@ import (
 	"prmsel/internal/bayesnet"
 )
 
-// Incremental sufficient statistics (paper §6): the maximum-likelihood
-// parameters of every CPD are a pure function of its contingency counts,
-// so maintaining the counts under inserts and deletes makes parameter
-// refit an O(delta) update + renormalize instead of a dataset rescan.
-//
-// The refit helpers below are deliberately bit-for-bit compatible with
-// the scan-based core.RefitParameters: all maintained weights are
-// integer-valued (1 per row; pair counts are integer products) and far
-// below 2^53, so float64 addition over them is exact and independent of
-// accumulation order. Identical counts therefore produce identical
-// normalizing divisions and bit-identical distributions — the property
-// the differential tests assert.
-
-// Obs is one sufficient-statistics observation: values aligned with a
-// Counts' dimensions (child first), and a weight.
-type Obs struct {
-	Vals []int32
-	W    float64
-}
-
-// Stats is a first-class incremental contingency: Counts plus the delta
-// discipline. A Stats is built once (from a scan or an existing Counts)
-// and then maintained by ApplyDelta as rows arrive or leave.
-type Stats struct {
-	c *Counts
-}
-
-// NewStats returns empty stats over the given cardinalities (child
-// first).
-func NewStats(cards []int) *Stats {
-	return &Stats{c: NewCounts(cards)}
-}
-
-// StatsOver wraps existing counts. The Stats takes ownership.
-func StatsOver(c *Counts) *Stats {
-	return &Stats{c: c}
-}
-
-// Counts exposes the live counts (no copy) for fitting and refitting.
-func (s *Stats) Counts() *Counts { return s.c }
-
-// Add accumulates one observation — the streaming insert primitive.
-func (s *Stats) Add(vals []int32, w float64) {
-	s.c.Add(vals, w)
-}
-
-// remove subtracts one observation. A cell reaching exactly zero is
-// deleted so the sparse form stays canonical (equal multisets of
-// observations yield equal cell maps); driving a cell negative is a
-// caller bug and errors out.
-func (s *Stats) remove(vals []int32, w float64) error {
-	k := s.c.Key(vals)
-	cur, ok := s.c.Cells[k]
-	if !ok || cur < w {
-		return fmt.Errorf("learn: stats: delete of %v (weight %g) exceeds cell weight %g", vals, w, cur)
-	}
-	if cur == w {
-		delete(s.c.Cells, k)
-	} else {
-		s.c.Cells[k] = cur - w
-	}
-	s.c.N -= w
-	return nil
-}
-
-// ApplyDelta folds a batch of inserts and deletes into the counts.
-// Inserts apply first, so a batch may delete weight it just inserted. On
-// error (a delete exceeding the maintained weight) the stats are left in
-// an undefined intermediate state and must be rebuilt from a scan.
-func (s *Stats) ApplyDelta(inserts, deletes []Obs) error {
-	for _, o := range inserts {
-		s.c.Add(o.Vals, o.W)
-	}
-	for _, o := range deletes {
-		if err := s.remove(o.Vals, o.W); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Clone returns an independent deep copy.
-func (s *Stats) Clone() *Stats {
-	out := NewCounts(s.c.Cards)
-	for k, w := range s.c.Cells {
-		out.Cells[k] = w
-	}
-	out.N = s.c.N
-	return &Stats{c: out}
-}
+// Refit (paper §6): the maximum-likelihood parameters of every CPD are a
+// pure function of its contingency counts, so re-estimating them with the
+// structure fixed is a renormalization of counts, however those counts
+// were obtained — a rescan or an incrementally maintained contingency.
+// Counts hold integer-valued weights far below 2^53, so float64 addition
+// over them is exact and independent of accumulation order: equal counts
+// produce identical normalizing divisions and bit-identical distributions.
 
 // RefitTreeCPD replaces the tree's leaf distributions with the
 // maximum-likelihood estimates under the counts, keeping the split
 // structure fixed. Leaves that receive no weight keep their old
-// distributions — the same rule as the scan-based refit, so
-// configurations unseen in the new data keep their old estimates.
+// distributions, so configurations unseen in the new data keep their old
+// estimates.
 func RefitTreeCPD(cpd *bayesnet.TreeCPD, c *Counts) {
 	counts := make(map[*bayesnet.TreeNode][]float64)
 	childCard := c.ChildCard()

@@ -7,136 +7,45 @@ import (
 	"prmsel/internal/bayesnet"
 )
 
-// randObs draws a random observation over cards with unit weight.
-func randObs(rng *rand.Rand, cards []int) Obs {
+// randVals draws a random observation over cards.
+func randVals(rng *rand.Rand, cards []int) []int32 {
 	vals := make([]int32, len(cards))
 	for i, c := range cards {
 		vals[i] = int32(rng.Intn(c))
 	}
-	return Obs{Vals: vals, W: 1}
+	return vals
 }
 
-// TestApplyDeltaMatchesScratch is the core delta-statistics differential:
-// a randomized insert/delete stream applied incrementally must leave
-// Cells and N exactly — not approximately — equal to counts rebuilt from
-// scratch over the surviving multiset.
-func TestApplyDeltaMatchesScratch(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	cards := []int{3, 4, 2, 5}
-	for trial := 0; trial < 20; trial++ {
-		st := NewStats(cards)
-		var live []Obs // surviving observations, ground truth
-		for step := 0; step < 300; step++ {
-			var ins, del []Obs
-			for i := 0; i < 1+rng.Intn(4); i++ {
-				ins = append(ins, randObs(rng, cards))
-			}
-			// Delete a few rows that are actually alive.
-			nDel := rng.Intn(3)
-			for i := 0; i < nDel && len(live) > 0; i++ {
-				j := rng.Intn(len(live))
-				del = append(del, live[j])
-				live[j] = live[len(live)-1]
-				live = live[:len(live)-1]
-			}
-			live = append(live, ins...)
-			if err := st.ApplyDelta(ins, del); err != nil {
-				t.Fatalf("trial %d step %d: ApplyDelta: %v", trial, step, err)
-			}
-		}
-		scratch := NewCounts(cards)
-		for _, o := range live {
-			scratch.Add(o.Vals, o.W)
-		}
-		got := st.Counts()
-		if got.N != scratch.N {
-			t.Fatalf("trial %d: N = %v, scratch %v", trial, got.N, scratch.N)
-		}
-		if len(got.Cells) != len(scratch.Cells) {
-			t.Fatalf("trial %d: %d cells, scratch %d", trial, len(got.Cells), len(scratch.Cells))
-		}
-		for k, w := range scratch.Cells {
-			if got.Cells[k] != w {
-				t.Fatalf("trial %d: cell %d = %v, scratch %v", trial, k, got.Cells[k], w)
-			}
-		}
-	}
-}
-
-func TestApplyDeltaRejectsOverdraw(t *testing.T) {
-	st := NewStats([]int{2, 2})
-	st.Add([]int32{0, 1}, 1)
-	if err := st.ApplyDelta(nil, []Obs{{Vals: []int32{0, 1}, W: 2}}); err == nil {
-		t.Fatal("deleting more weight than a cell holds must error")
-	}
-	st2 := NewStats([]int{2, 2})
-	if err := st2.ApplyDelta(nil, []Obs{{Vals: []int32{1, 1}, W: 1}}); err == nil {
-		t.Fatal("deleting from an empty cell must error")
-	}
-	// A batch may consume weight it just inserted.
-	st3 := NewStats([]int{2, 2})
-	if err := st3.ApplyDelta([]Obs{{Vals: []int32{1, 0}, W: 1}}, []Obs{{Vals: []int32{1, 0}, W: 1}}); err != nil {
-		t.Fatalf("insert-then-delete in one batch: %v", err)
-	}
-	if got := st3.Counts(); len(got.Cells) != 0 || got.N != 0 {
-		t.Fatalf("net-zero batch left %+v", got)
-	}
-}
-
-func TestStatsCloneIndependent(t *testing.T) {
-	st := NewStats([]int{2, 3})
-	st.Add([]int32{1, 2}, 4)
-	cl := st.Clone()
-	st.Add([]int32{0, 0}, 1)
-	if cl.Counts().N != 4 || len(cl.Counts().Cells) != 1 {
-		t.Fatalf("clone observed later mutation: %+v", cl.Counts())
-	}
-	cl.Add([]int32{1, 1}, 1)
-	if st.Counts().N != 5 {
-		t.Fatalf("original observed clone mutation: %+v", st.Counts())
-	}
-}
-
-// buildCounts scans obs into fresh counts.
-func buildCounts(cards []int, obs []Obs) *Counts {
+// buildCounts counts obs, one unit of weight each, into fresh counts.
+func buildCounts(cards []int, obs [][]int32) *Counts {
 	c := NewCounts(cards)
 	for _, o := range obs {
-		c.Add(o.Vals, o.W)
+		c.Add(o, 1)
 	}
 	return c
 }
 
 // TestRefitBitForBit: fitting a CPD structure on initial data, then
-// refitting it once from delta-maintained counts and once from
-// scratch-rebuilt counts over the same final multiset, must produce
+// refitting it once from counts grown by a stream of inserts and once from
+// counts rebuilt from scratch over the same final multiset, must produce
 // bit-identical distributions (integer weights make float64 accumulation
 // exact, so equal counts imply equal parameters).
 func TestRefitBitForBit(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	cards := []int{3, 3, 2, 4}
-	var initial []Obs
+	var initial [][]int32
 	for i := 0; i < 500; i++ {
-		initial = append(initial, randObs(rng, cards))
+		initial = append(initial, randVals(rng, cards))
 	}
-	c0 := buildCounts(cards, initial)
 
-	// Evolve the dataset: inserts and deletes.
-	st := StatsOver(c0)
-	live := append([]Obs(nil), initial...)
+	// Evolve the dataset by inserts.
+	grown := buildCounts(cards, initial)
+	live := append([][]int32(nil), initial...)
 	for step := 0; step < 100; step++ {
-		var ins, del []Obs
 		for i := 0; i < rng.Intn(5); i++ {
-			ins = append(ins, randObs(rng, cards))
-		}
-		for i := 0; i < rng.Intn(3) && len(live) > 0; i++ {
-			j := rng.Intn(len(live))
-			del = append(del, live[j])
-			live[j] = live[len(live)-1]
-			live = live[:len(live)-1]
-		}
-		live = append(live, ins...)
-		if err := st.ApplyDelta(ins, del); err != nil {
-			t.Fatalf("step %d: %v", step, err)
+			o := randVals(rng, cards)
+			grown.Add(o, 1)
+			live = append(live, o)
 		}
 	}
 	scratch := buildCounts(cards, live)
@@ -145,8 +54,8 @@ func TestRefitBitForBit(t *testing.T) {
 		// Two structurally identical CPDs fit on the initial data.
 		a := FitCPD(kind, buildCounts(cards, initial), TreeOptions{}, 0).CPD
 		b := FitCPD(kind, buildCounts(cards, initial), TreeOptions{}, 0).CPD
-		if err := RefitCPD(a, st.Counts()); err != nil {
-			t.Fatalf("%v: refit from delta stats: %v", kind, err)
+		if err := RefitCPD(a, grown); err != nil {
+			t.Fatalf("%v: refit from grown counts: %v", kind, err)
 		}
 		if err := RefitCPD(b, scratch); err != nil {
 			t.Fatalf("%v: refit from scratch: %v", kind, err)
@@ -156,8 +65,7 @@ func TestRefitBitForBit(t *testing.T) {
 }
 
 // TestRefitKeepsUnseenConfigs: configurations with no weight in the new
-// counts keep their previous distributions — the same rule as the
-// scan-based core refit.
+// counts keep their previous distributions.
 func TestRefitKeepsUnseenConfigs(t *testing.T) {
 	cards := []int{2, 2}
 	full := NewCounts(cards)

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -165,6 +167,97 @@ func TestCSVRoundTripFacade(t *testing.T) {
 	if back.Table("People").Len() != 1000 {
 		t.Errorf("round trip lost rows: %d", back.Table("People").Len())
 	}
+}
+
+// TestWideDomainKeyJoins: a 300-label attribute under a join indicator,
+// loaded through the CSV reader, keeps one cell per label. The learned
+// model's per-label key-join counts sum to the exact join size and each
+// is within a factor of 2 of the truth, as learned and after
+// RefitParameters.
+func TestWideDomainKeyJoins(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	labels := make([]string, 300)
+	for i := range labels {
+		labels[i] = fmt.Sprintf("inc%03d", i)
+	}
+	person := NewTable(Schema{
+		Name:       "Person",
+		Attributes: []Attribute{{Name: "Income", Values: labels}},
+	})
+	var cum []float64
+	var total float64
+	for i := 0; i < 3000; i++ {
+		code := int32(i % 300)
+		person.MustAppendRow([]int32{code}, nil)
+		w := 1.0
+		if code >= 256 {
+			w = 8
+		}
+		total += w
+		cum = append(cum, total)
+	}
+	purchase := NewTable(Schema{
+		Name:        "Purchase",
+		Attributes:  []Attribute{{Name: "Amount", Values: []string{"small", "large"}}},
+		ForeignKeys: []ForeignKey{{Name: "Buyer", To: "Person"}},
+	})
+	for i := 0; i < 20000; i++ {
+		buyer := sort.SearchFloat64s(cum, rng.Float64()*total)
+		purchase.MustAppendRow([]int32{int32(rng.Intn(2))}, []int32{int32(buyer)})
+	}
+	files := map[string]io.Reader{}
+	for _, tbl := range []*Table{person, purchase} {
+		var buf bytes.Buffer
+		if err := WriteCSV(&buf, tbl); err != nil {
+			t.Fatal(err)
+		}
+		files[tbl.Name] = &buf
+	}
+	db, err := ReadDatabaseCSV(files)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := Build(db, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(stage string) {
+		t.Helper()
+		var sum, worst float64
+		var exact int64
+		for _, label := range labels {
+			code, err := db.Table("Person").Code("Income", label)
+			if err != nil {
+				t.Fatal(err)
+			}
+			q := NewQuery().Over("u", "Purchase").Over("p", "Person").
+				KeyJoin("u", "Buyer", "p").WhereEq("p", "Income", code)
+			truth, err := db.Count(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			est, err := model.EstimateCount(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum += est
+			exact += truth
+			tr := math.Max(float64(truth), 1)
+			worst = math.Max(worst, math.Max(est/tr, tr/est))
+		}
+		t.Logf("%s: estimates sum to %.0f of exact %d; worst q-error %.2f", stage, sum, exact, worst)
+		if math.Abs(sum-float64(exact)) > 0.01*float64(exact) {
+			t.Errorf("%s: per-label key-join estimates sum to %.0f, exact %d", stage, sum, exact)
+		}
+		if worst > 2 {
+			t.Errorf("%s: worst per-label q-error %.2f, want <= 2", stage, worst)
+		}
+	}
+	check("learned")
+	if err := model.RefitParameters(db); err != nil {
+		t.Fatal(err)
+	}
+	check("refit")
 }
 
 func TestSuiteEnumeration(t *testing.T) {
