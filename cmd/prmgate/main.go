@@ -1,7 +1,7 @@
 // Command prmgate is the cluster routing gateway: it spreads estimate
 // traffic across a set of prmserved replicas with consistent-hash
 // routing, health-checks them through /readyz, circuit-breaks replicas
-// that fail, retries (and optionally hedges) idempotent requests, and
+// that fail, retries idempotent requests along the failover chain, and
 // orchestrates rolling rollout of model generations.
 //
 //	prmgate -addr :8090 -replicas http://127.0.0.1:9001,http://127.0.0.1:9002,http://127.0.0.1:9003
@@ -36,9 +36,8 @@ func main() {
 	downAfter := flag.Int("down-after", 1, "consecutive failed checks before a replica leaves the ring")
 	upAfter := flag.Int("up-after", 1, "consecutive passing checks before a replica rejoins")
 	vnodes := flag.Int("vnodes", 64, "virtual nodes per replica on the consistent-hash ring")
-	maxAttempts := flag.Int("max-attempts", 3, "total forwarding attempts per idempotent request, hedges included")
+	maxAttempts := flag.Int("max-attempts", 3, "total forwarding attempts per idempotent request")
 	retryBackoff := flag.Duration("retry-backoff", 25*time.Millisecond, "pause before re-forwarding after a transport failure (jittered)")
-	hedgeAfter := flag.Duration("hedge-after", 0, "hedge idempotent requests to a second replica after this delay (0 = off)")
 	quorum := flag.Int("quorum", 0, "replicas that must serve a generation before rollout promotes it (0 = majority)")
 	forwardTimeout := flag.Duration("forward-timeout", 10*time.Second, "per-attempt forwarding timeout")
 	drainGrace := flag.Duration("drain-grace", 0, "pause between flipping /readyz to 503 and closing the listener (0 = immediate)")
@@ -65,7 +64,6 @@ func main() {
 		VNodes:         *vnodes,
 		MaxAttempts:    *maxAttempts,
 		RetryBackoff:   *retryBackoff,
-		HedgeAfter:     *hedgeAfter,
 		Quorum:         *quorum,
 		Logf:           log.Printf,
 	})

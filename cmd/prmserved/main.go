@@ -45,7 +45,6 @@ func main() {
 	writeTimeout := flag.Duration("write-timeout", 30*time.Second, "max time to write a full response")
 	idleTimeout := flag.Duration("idle-timeout", 2*time.Minute, "max keep-alive idle time per connection")
 	maxBody := flag.Int64("max-body", 1<<20, "request body limit in bytes")
-	exactEvery := flag.Int("exact-every", 0, "run every Nth estimate through the exact executor for q-error metrics (0 = off)")
 	logJSON := flag.Bool("log-json", false, "emit access lines as JSON (default: logfmt-style text); one is written for every error and every success the request journal keeps")
 	maxCells := flag.Int("max-cells", 0, "elimination budget in factor cells; over-budget queries degrade to sampling (0 = unlimited)")
 	approxSamples := flag.Int("approx-samples", 4096, "likelihood-weighting samples for the degraded tier")
@@ -166,7 +165,6 @@ func main() {
 		CacheCapacity:      *cacheCap,
 		RequestTimeout:     *timeout,
 		MaxBodyBytes:       *maxBody,
-		ExactEvery:         *exactEvery,
 		MaxCells:           *maxCells,
 		ApproxSamples:      *approxSamples,
 		MaxConcurrent:      *maxConcurrent,

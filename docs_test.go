@@ -30,49 +30,89 @@ var flagDefiners = map[string]bool{
 // register through the flag package or a FlagSet named fs.
 func registeredFlags(t *testing.T) map[string]bool {
 	t.Helper()
-	files, err := filepath.Glob(filepath.Join("cmd", "*", "*.go"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	flags := make(map[string]bool)
-	fset := token.NewFileSet()
-	for _, path := range files {
-		if strings.HasSuffix(path, "_test.go") {
-			continue
+	return callLiterals(t, []string{filepath.Join("cmd", "*", "*.go")}, func(sel *ast.SelectorExpr) (int, bool) {
+		if !flagDefiners[sel.Sel.Name] {
+			return 0, false
 		}
-		f, err := parser.ParseFile(fset, path, nil, 0)
+		if pkg, ok := sel.X.(*ast.Ident); !ok || (pkg.Name != "flag" && pkg.Name != "fs") {
+			return 0, false
+		}
+		if strings.HasSuffix(sel.Sel.Name, "Var") {
+			return 1, true
+		}
+		return 0, true
+	})
+}
+
+// familyRegistrars are the obs.Registry methods that register a metric
+// family; each takes the family name first.
+var familyRegistrars = map[string]bool{
+	"Counter": true, "CounterVec": true, "Gauge": true, "GaugeVec": true,
+	"GaugeFunc": true, "Histogram": true, "HistogramVec": true,
+}
+
+// registeredFamilies returns every prm_ metric family that the serving
+// packages register under a literal name.
+func registeredFamilies(t *testing.T) map[string]bool {
+	t.Helper()
+	globs := []string{filepath.Join("internal", "serve", "*.go"), filepath.Join("internal", "cluster", "*.go")}
+	all := callLiterals(t, globs, func(sel *ast.SelectorExpr) (int, bool) {
+		return 0, familyRegistrars[sel.Sel.Name]
+	})
+	families := make(map[string]bool)
+	for name := range all {
+		if strings.HasPrefix(name, "prm_") {
+			families[name] = true
+		}
+	}
+	return families
+}
+
+// callLiterals parses the non-test Go files matching globs and returns the
+// string literal passed at argument index arg of every call whose selector
+// match accepts.
+func callLiterals(t *testing.T, globs []string, match func(*ast.SelectorExpr) (arg int, ok bool)) map[string]bool {
+	t.Helper()
+	out := make(map[string]bool)
+	fset := token.NewFileSet()
+	for _, glob := range globs {
+		files, err := filepath.Glob(glob)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
+		for _, path := range files {
+			if strings.HasSuffix(path, "_test.go") {
+				continue
 			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok || !flagDefiners[sel.Sel.Name] {
-				return true
+			f, err := parser.ParseFile(fset, path, nil, 0)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if pkg, ok := sel.X.(*ast.Ident); !ok || (pkg.Name != "flag" && pkg.Name != "fs") {
-				return true
-			}
-			arg := 0
-			if strings.HasSuffix(sel.Sel.Name, "Var") {
-				arg = 1
-			}
-			if arg < len(call.Args) {
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				arg, ok := match(sel)
+				if !ok || arg >= len(call.Args) {
+					return true
+				}
 				if lit, ok := call.Args[arg].(*ast.BasicLit); ok && lit.Kind == token.STRING {
 					name, err := strconv.Unquote(lit.Value)
 					if err != nil {
 						t.Fatalf("%s: %v", fset.Position(lit.Pos()), err)
 					}
-					flags[name] = true
+					out[name] = true
 				}
-			}
-			return true
-		})
+				return true
+			})
+		}
 	}
-	return flags
+	return out
 }
 
 var codeSpan = regexp.MustCompile("`([^`]+)`")
@@ -81,10 +121,13 @@ var codeSpan = regexp.MustCompile("`([^`]+)`")
 // lines name.
 var goToolFlags = map[string]bool{"race": true, "run": true}
 
-// docFlags returns the -name tokens in the inline code spans of a
-// Markdown file (fenced blocks excluded), each mapped to one line it
-// appears on.
-func docFlags(t *testing.T, path string) map[string]int {
+// operatorDocs are the documents whose inline code the docs tests check.
+var operatorDocs = []string{"README.md", "DESIGN.md", filepath.Join(".claude", "skills", "verify", "SKILL.md")}
+
+// docTokens returns the whitespace-separated tokens of the inline code
+// spans of a Markdown file (fenced blocks excluded), each mapped to the
+// first line it appears on.
+func docTokens(t *testing.T, path string) map[string]int {
 	t.Helper()
 	b, err := os.ReadFile(path)
 	if err != nil {
@@ -101,12 +144,8 @@ func docFlags(t *testing.T, path string) map[string]int {
 		for _, loc := range codeSpan.FindAllStringSubmatchIndex(text, -1) {
 			line := first + strings.Count(text[:loc[0]], "\n")
 			for _, tok := range strings.Fields(text[loc[2]:loc[3]]) {
-				if len(tok) < 2 || tok[0] != '-' || !('a' <= tok[1] && tok[1] <= 'z' || 'A' <= tok[1] && tok[1] <= 'Z') {
-					continue
-				}
-				name, _, _ := strings.Cut(tok[1:], "=")
-				if _, seen := out[name]; !seen {
-					out[name] = line
+				if _, seen := out[tok]; !seen {
+					out[tok] = line
 				}
 			}
 		}
@@ -130,6 +169,23 @@ func docFlags(t *testing.T, path string) map[string]int {
 	return out
 }
 
+// docFlags returns the -name tokens of a Markdown file's inline code
+// spans, each mapped to the first line it appears on.
+func docFlags(t *testing.T, path string) map[string]int {
+	t.Helper()
+	out := make(map[string]int)
+	for tok, line := range docTokens(t, path) {
+		if len(tok) < 2 || tok[0] != '-' || !('a' <= tok[1] && tok[1] <= 'z' || 'A' <= tok[1] && tok[1] <= 'Z') {
+			continue
+		}
+		name, _, _ := strings.Cut(tok[1:], "=")
+		if prev, seen := out[name]; !seen || line < prev {
+			out[name] = line
+		}
+	}
+	return out
+}
+
 // TestDocsNameOnlyRegisteredFlags: every -flag the operator docs name in
 // an inline code span is registered by some binary under cmd/, or is one
 // of goToolFlags. Registered flags no doc names are logged, not failed:
@@ -140,8 +196,7 @@ func TestDocsNameOnlyRegisteredFlags(t *testing.T) {
 		t.Fatal("found no flag registrations under cmd/")
 	}
 	named := make(map[string]bool)
-	docs := []string{"README.md", "DESIGN.md", filepath.Join(".claude", "skills", "verify", "SKILL.md")}
-	for _, doc := range docs {
+	for _, doc := range operatorDocs {
 		for name, line := range docFlags(t, doc) {
 			named[name] = true
 			if !flags[name] && !goToolFlags[name] {
@@ -158,4 +213,49 @@ func TestDocsNameOnlyRegisteredFlags(t *testing.T) {
 	sort.Strings(undocumented)
 	t.Logf("%d registered flags, %d named in the docs; registered but named by no doc: %s",
 		len(flags), len(named), strings.Join(undocumented, " "))
+}
+
+// TestDocsNameOnlyRegisteredFamilies: every prm_ metric family the
+// operator docs name in an inline code span is registered by
+// internal/serve or internal/cluster. A trailing {…} label set is
+// ignored, and a name ending in * is a prefix that must match at least
+// one family. Registered families no doc names are logged, not failed.
+func TestDocsNameOnlyRegisteredFamilies(t *testing.T) {
+	families := registeredFamilies(t)
+	if len(families) == 0 {
+		t.Fatal("found no prm_ metric registrations in internal/serve or internal/cluster")
+	}
+	covered := make(map[string]bool)
+	for _, doc := range operatorDocs {
+		for tok, line := range docTokens(t, doc) {
+			if !strings.HasPrefix(tok, "prm_") {
+				continue
+			}
+			name, _, _ := strings.Cut(tok, "{")
+			prefix, isPrefix := strings.CutSuffix(name, "*")
+			matched := false
+			for fam := range families {
+				if fam == name || isPrefix && strings.HasPrefix(fam, prefix) {
+					matched = true
+					// The bare prm_* matches every family and so
+					// documents none of them.
+					if prefix != "prm_" {
+						covered[fam] = true
+					}
+				}
+			}
+			if !matched {
+				t.Errorf("%s:%d names %s, which no registered metric family matches", doc, line, tok)
+			}
+		}
+	}
+	var unnamed []string
+	for fam := range families {
+		if !covered[fam] {
+			unnamed = append(unnamed, fam)
+		}
+	}
+	sort.Strings(unnamed)
+	t.Logf("%d registered families, %d named in the docs (exactly or by prefix); named by no doc: %s",
+		len(families), len(covered), strings.Join(unnamed, " "))
 }

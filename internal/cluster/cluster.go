@@ -119,33 +119,20 @@ type Config struct {
 	// VNodes is the consistent-hash ring's virtual-node count per
 	// replica (default 64).
 	VNodes int
-	// MaxAttempts bounds total forwarding tries per idempotent request,
-	// counting hedges (default 3). Non-idempotent requests always get
-	// exactly one attempt.
+	// MaxAttempts bounds total forwarding tries per idempotent request
+	// (default 3). Non-idempotent requests always get exactly one
+	// attempt.
 	MaxAttempts int
 	// RetryBackoff is the pause before re-forwarding after a failed
 	// attempt, jittered ±50% (default 25ms). Protective pushback
 	// (429/503 + Retry-After) skips the backoff — the next replica is
 	// not the one asking for distance.
 	RetryBackoff time.Duration
-	// HedgeAfter, when positive, launches a second attempt at the next
-	// ring candidate if the first has not answered within this delay —
-	// tail-latency insurance for idempotent estimates (default 0: off).
-	HedgeAfter time.Duration
 	// Quorum is how many replicas must serve a generation before a
 	// rollout promotes it (default: majority of configured replicas).
 	Quorum int
 	// MaxBodyBytes bounds forwarded request bodies (default 1 MiB).
 	MaxBodyBytes int64
-	// MaxRespBytes bounds a buffered replica response (default 8 MiB).
-	MaxRespBytes int64
-	// MaxSnapshotBytes bounds a fetched model snapshot (default 64 MiB).
-	MaxSnapshotBytes int64
-	// FetchRetries is how many times a rollout re-fetches a snapshot
-	// whose frame fails validation (default 3).
-	FetchRetries int
-	// BreakerCooldown is each replica breaker's open period (default 2s).
-	BreakerCooldown time.Duration
 	// Metrics receives the prm_gate_* series (default: a fresh registry).
 	Metrics *obs.Registry
 	// Logf logs gate events; log.Printf when nil.
@@ -184,18 +171,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 1 << 20
-	}
-	if c.MaxRespBytes <= 0 {
-		c.MaxRespBytes = 8 << 20
-	}
-	if c.MaxSnapshotBytes <= 0 {
-		c.MaxSnapshotBytes = 64 << 20
-	}
-	if c.FetchRetries <= 0 {
-		c.FetchRetries = 3
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 2 * time.Second
 	}
 	if c.Metrics == nil {
 		c.Metrics = obs.NewRegistry()
@@ -237,7 +212,6 @@ type Gate struct {
 type gateMetrics struct {
 	requests     *obs.CounterVec // outcome: ok | protective | error | no_replica
 	retries      *obs.Counter
-	hedges       *obs.Counter
 	refetch      *obs.Counter
 	checks       *obs.CounterVec // result: ok | not_ready | down
 	replicaState *obs.GaugeVec
@@ -272,8 +246,7 @@ func NewGate(cfg Config) (*Gate, error) {
 		rep.br = resilience.NewBreaker(resilience.BreakerConfig{
 			Name:                "replica:" + addr,
 			ConsecutiveFailures: 3,
-			Cooldown:            cfg.BreakerCooldown,
-			Seed:                1,
+			Cooldown:            2 * time.Second,
 			OnTransition: func(from, to resilience.BreakerState) {
 				g.logf("cluster: breaker %s: %s -> %s", addr, from, to)
 			},
@@ -289,8 +262,6 @@ func NewGate(cfg Config) (*Gate, error) {
 			"Forwarded requests by outcome (ok, protective, error, no_replica).", "outcome"),
 		retries: reg.Counter("prm_gate_retries_total",
 			"Forwarding attempts beyond each request's first."),
-		hedges: reg.Counter("prm_gate_hedges_total",
-			"Hedge attempts launched for slow idempotent requests."),
 		refetch: reg.Counter("prm_gate_snapshot_refetch_total",
 			"Snapshot fetches repeated after frame validation failed (torn stream, bit flip)."),
 		checks: reg.CounterVec("prm_gate_health_checks_total",

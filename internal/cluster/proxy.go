@@ -37,8 +37,8 @@ func (g *Gate) Handler() http.Handler {
 		}, true)
 	})
 	// The write and feedback paths are not idempotent (ingest appends
-	// rows; feedback moves the drift window): exactly one attempt, no
-	// hedge. A failed forward surfaces to the client, which owns retry.
+	// rows; feedback moves the drift window): exactly one attempt. A
+	// failed forward surfaces to the client, which owns retry.
 	mux.HandleFunc("POST /v1/ingest", func(w http.ResponseWriter, r *http.Request) {
 		g.forwardBody(w, r, func(req bodyPeek) (string, string) {
 			return req.Model, req.Model
@@ -142,11 +142,10 @@ func (g *Gate) forwardBody(w http.ResponseWriter, r *http.Request, keyFn func(bo
 
 // attemptResult is one fully-buffered replica response.
 type attemptResult struct {
-	replica    string
-	status     int
-	header     http.Header
-	body       []byte
-	protective bool // 429/503 with Retry-After: structured pushback
+	replica string
+	status  int
+	header  http.Header
+	body    []byte
 }
 
 // outcome classifies one attempt for the retry loop.
@@ -158,11 +157,12 @@ const (
 	outcomeError
 )
 
-// forward routes one request along the key's failover chain with
-// bounded retries (idempotent requests only) and optional hedging.
-// Exhaustion degrades in order of usefulness: the last protective
-// response (it carries the server's own Retry-After) beats a
-// synthesized 503, which still carries Retry-After so clients and SLO
+// forward routes one request along the key's failover chain, one attempt
+// at a time on the request's own goroutine. An idempotent request gets up
+// to MaxAttempts attempts; ingest and feedback get one. The first
+// non-error outcome answers, a 4xx included. Exhaustion relays the last
+// protective response (it carries the replica's own Retry-After), or else
+// synthesizes a 503 that still carries Retry-After, so clients and SLO
 // accounting see structured pushback, never a connection error.
 func (g *Gate) forward(w http.ResponseWriter, r *http.Request, key, model string, body []byte, idempotent bool) {
 	started := time.Now()
@@ -180,96 +180,53 @@ func (g *Gate) forward(w http.ResponseWriter, r *http.Request, key, model string
 	}
 	budget := 1
 	if idempotent {
-		budget = g.cfg.MaxAttempts
-		if budget > len(candidates) {
-			budget = len(candidates)
+		budget = min(g.cfg.MaxAttempts, len(candidates))
+	}
+
+	var lastProtective *attemptResult
+	attempts := 0
+	for _, rep := range candidates[:budget] {
+		if attempts > 0 {
+			if r.Context().Err() != nil {
+				break
+			}
+			g.m.retries.Inc()
 		}
-	}
-
-	type tagged struct {
-		res *attemptResult
-		out outcome
-	}
-	results := make(chan tagged, budget)
-	launched := 0
-	launch := func() {
-		rep := candidates[launched]
-		launched++
-		go func() {
-			res, out := g.try(r, rep, body)
-			results <- tagged{res, out}
-		}()
-	}
-	launch()
-
-	var hedgec <-chan time.Time
-	if idempotent && g.cfg.HedgeAfter > 0 && budget > 1 {
-		ht := time.NewTimer(g.cfg.HedgeAfter)
-		defer ht.Stop()
-		hedgec = ht.C
-	}
-
-	var lastProtective, lastError *attemptResult
-	pending := 1
-	for pending > 0 {
-		select {
-		case t := <-results:
-			pending--
-			switch t.out {
-			case outcomeOK:
-				// Losers still in flight drain into the buffered channel
-				// and are garbage; first success answers the client.
-				g.m.requests.With("ok").Inc()
-				g.writeResult(w, t.res)
-				return
-			case outcomeProtective:
-				lastProtective = t.res
-			case outcomeError:
-				if t.res != nil {
-					lastError = t.res
-				}
-			}
-			if launched < budget {
-				// Protective pushback retries immediately on the next
-				// replica (it is fine; the pushing one wanted distance);
-				// transport errors pause briefly so a blinking replica
-				// is not machine-gunned.
-				if t.out == outcomeError {
-					g.sleepJittered(r, g.cfg.RetryBackoff)
-				}
-				if r.Context().Err() == nil {
-					g.m.retries.Inc()
-					launch()
-					pending++
-				}
-			}
-		case <-hedgec:
-			hedgec = nil
-			if launched < budget && r.Context().Err() == nil {
-				g.m.hedges.Inc()
-				launch()
-				pending++
+		attempts++
+		res, out := g.try(r, rep, body)
+		switch out {
+		case outcomeOK:
+			g.m.requests.With("ok").Inc()
+			g.writeResult(w, res)
+			return
+		case outcomeProtective:
+			// Pushback retries at once on the next replica: the pushing
+			// one asked for distance, not the cluster.
+			lastProtective = res
+		case outcomeError:
+			// A transport error or 5xx pauses first, so a blinking
+			// replica is not machine-gunned.
+			if attempts < budget {
+				g.sleepJittered(r, g.cfg.RetryBackoff)
 			}
 		}
 	}
 
-	switch {
-	case lastProtective != nil:
+	if lastProtective != nil {
 		g.m.requests.With("protective").Inc()
 		g.writeResult(w, lastProtective)
-	case lastError != nil && lastError.status < 500:
-		// A non-retryable replica answer (4xx): pass it through.
-		g.m.requests.With("error").Inc()
-		g.writeResult(w, lastError)
-	default:
-		g.m.requests.With("error").Inc()
-		setRetryAfter(w, time.Second)
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-			"error":  "all replicas failed",
-			"reason": fmt.Sprintf("no replica answered after %d attempts", launched),
-		})
+		return
 	}
+	g.m.requests.With("error").Inc()
+	setRetryAfter(w, time.Second)
+	writeJSON(w, http.StatusServiceUnavailable, map[string]any{
+		"error":  "all replicas failed",
+		"reason": fmt.Sprintf("no replica answered after %d attempts", attempts),
+	})
 }
+
+// maxRespBytes bounds a buffered replica response.
+const maxRespBytes = 8 << 20
 
 // try sends one attempt to one replica and classifies the result. A 4xx
 // is a success for routing purposes (the request itself is bad; another
@@ -309,7 +266,7 @@ func (g *Gate) try(r *http.Request, rep *Replica, body []byte) (*attemptResult, 
 		return nil, outcomeError
 	}
 	defer resp.Body.Close()
-	respBody, err := io.ReadAll(io.LimitReader(resp.Body, g.cfg.MaxRespBytes))
+	respBody, err := io.ReadAll(io.LimitReader(resp.Body, maxRespBytes))
 	if err != nil {
 		rep.br.Record(err)
 		return nil, outcomeError
@@ -323,7 +280,6 @@ func (g *Gate) try(r *http.Request, rep *Replica, body []byte) (*attemptResult, 
 	switch {
 	case resp.StatusCode == http.StatusTooManyRequests,
 		resp.StatusCode == http.StatusServiceUnavailable && resp.Header.Get("Retry-After") != "":
-		res.protective = true
 		rep.br.Record(nil)
 		return res, outcomeProtective
 	case resp.StatusCode >= 500:

@@ -1,8 +1,8 @@
 // Package cluster is the serving tier's horizontal layer: a routing
 // gateway (Gate) that spreads estimate traffic across prmserved
 // replicas with consistent-hash routing, health-checks them through
-// /readyz, circuit-breaks the flappy ones, retries and optionally
-// hedges idempotent requests, and orchestrates rolling rollout of model
+// /readyz, circuit-breaks the flappy ones, retries idempotent requests
+// along the failover chain, and orchestrates rolling rollout of model
 // generations over the store's CRC-framed snapshot format.
 package cluster
 

@@ -194,16 +194,20 @@ func (g *Gate) runRollout(model string) {
 		fmt.Sprintf("only %d of %d replicas serve generation %d (quorum %d)", atTarget, len(g.replicas), target, g.cfg.Quorum))
 }
 
+// snapshotFetches bounds how many times a rollout fetches a snapshot
+// whose frame fails validation.
+const snapshotFetches = 3
+
 // fetchSnapshot downloads the model's framed snapshot from the source
 // replica and validates the frame (magic, length, CRC) before anything
 // is distributed. A torn stream or a flipped bit fails validation and
-// triggers a re-fetch — up to FetchRetries — because the source still
-// has the intact artifact; distribution never forwards bytes the gate
-// has not checked.
+// triggers a re-fetch — up to snapshotFetches in all — because the
+// source still has the intact artifact; distribution never forwards
+// bytes the gate has not checked.
 func (g *Gate) fetchSnapshot(source *Replica, model string, target int64) ([]byte, error) {
 	url := fmt.Sprintf("%s/v1/models/%s/snapshot", source.Addr, model)
 	var lastErr error
-	for attempt := 1; attempt <= g.cfg.FetchRetries; attempt++ {
+	for attempt := 1; attempt <= snapshotFetches; attempt++ {
 		if attempt > 1 {
 			g.m.refetch.Inc()
 		}
@@ -224,7 +228,7 @@ func (g *Gate) fetchSnapshot(source *Replica, model string, target int64) ([]byt
 		}
 		return raw, nil
 	}
-	return nil, fmt.Errorf("%d attempts: %w", g.cfg.FetchRetries, lastErr)
+	return nil, fmt.Errorf("%d attempts: %w", snapshotFetches, lastErr)
 }
 
 func (g *Gate) fetchOnce(url string) (raw []byte, gen int64, err error) {
@@ -243,7 +247,7 @@ func (g *Gate) fetchOnce(url string) (raw []byte, gen int64, err error) {
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 		return nil, 0, fmt.Errorf("snapshot endpoint returned %s: %s", resp.Status, body)
 	}
-	raw, err = io.ReadAll(io.LimitReader(resp.Body, g.cfg.MaxSnapshotBytes))
+	raw, err = io.ReadAll(io.LimitReader(resp.Body, store.MaxSnapshotBytes))
 	if err != nil {
 		return nil, 0, err
 	}

@@ -251,52 +251,11 @@ func TestJointCountsRejectsDisconnected(t *testing.T) {
 	}
 }
 
-func TestContingencyCountIn(t *testing.T) {
-	db := tinyDB(t)
-	skeleton := query.New().Over("p", "Pet")
-	cont, err := db.JointCounts(skeleton, []query.Target{{Var: "p", Attr: "Species"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := cont.CountIn([]map[int32]bool{{0: true, 1: true}})
-	if got != 4 {
-		t.Errorf("CountIn(all) = %d, want 4", got)
-	}
-	got = cont.CountIn([]map[int32]bool{{1: true}})
-	if got != 2 {
-		t.Errorf("CountIn(dog) = %d, want 2", got)
-	}
-	got = cont.CountIn([]map[int32]bool{nil})
-	if got != 4 {
-		t.Errorf("CountIn(nil) = %d, want 4", got)
-	}
-}
-
 func TestAttrCounts(t *testing.T) {
 	db := tinyDB(t)
 	counts := db.Table("Pet").AttrCounts(0)
 	if counts[0] != 2 || counts[1] != 2 {
 		t.Errorf("AttrCounts = %v, want [2 2]", counts)
-	}
-}
-
-func TestJoinPairCounts(t *testing.T) {
-	db := tinyDB(t)
-	pet := db.Table("Pet")
-	counts, cards, err := db.JoinPairCounts(pet, 0, []int{0}, []int{1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cards) != 2 || cards[0] != 2 || cards[1] != 2 {
-		t.Fatalf("cards = %v", cards)
-	}
-	// Joined pairs grouped by (Species, Owner.Income):
-	// cat->owner0(high): 1, dog->owner0(high): 2, cat->owner1(low): 1.
-	get := func(species, income int32) int64 {
-		return counts[uint64(species)+2*uint64(income)]
-	}
-	if get(0, 1) != 1 || get(1, 1) != 2 || get(0, 0) != 1 || get(1, 0) != 0 {
-		t.Errorf("pair counts wrong: %v", counts)
 	}
 }
 

@@ -35,30 +35,6 @@ func (c *Contingency) Count(vals []int32) int64 { return c.counts[c.key(vals)] }
 // join size before any selection).
 func (c *Contingency) Total() int64 { return c.total }
 
-// Cells returns the number of non-zero cells.
-func (c *Contingency) Cells() int { return len(c.counts) }
-
-// CountIn returns the number of assignments whose target values fall in the
-// given accept sets (nil set = unconstrained). Used for range/IN queries.
-func (c *Contingency) CountIn(accept []map[int32]bool) int64 {
-	var total int64
-	vals := make([]int32, len(c.Targets))
-	for k, n := range c.counts {
-		ok := true
-		for i := range vals {
-			vals[i] = int32(k / c.strides[i] % uint64(c.Cards[i]))
-			if accept[i] != nil && !accept[i][vals[i]] {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			total += n
-		}
-	}
-	return total
-}
-
 // JointCounts enumerates the satisfying assignments of skeleton (a query
 // with joins but typically no predicates) and returns the joint counts over
 // the target attributes. Skeletons whose tuple variables form more than one
@@ -159,46 +135,4 @@ func (t *Table) AttrCounts(ai int) []int64 {
 		counts[v]++
 	}
 	return counts
-}
-
-// JoinPairCounts computes the sufficient statistics of a join indicator
-// variable for the foreign key fk of table from: for every combination of
-// the given fromAttrs (attribute indexes in from) and toAttrs (attribute
-// indexes in the referenced table), the number of (t, s) pairs that actually
-// join. The total pair count per combination is the product of the two
-// marginal counts and is computed by the caller from AttrCounts/JointCounts;
-// under referential integrity the joined count per from-row is exactly one.
-func (db *Database) JoinPairCounts(from *Table, fkIdx int, fromAttrs, toAttrs []int) (map[uint64]int64, []int, error) {
-	fk := from.ForeignKeys[fkIdx]
-	to := db.Table(fk.To)
-	if to == nil {
-		return nil, nil, fmt.Errorf("dataset: foreign key %s.%s references unknown table %q", from.Name, fk.Name, fk.To)
-	}
-	cards := make([]int, 0, len(fromAttrs)+len(toAttrs))
-	for _, ai := range fromAttrs {
-		cards = append(cards, from.Attributes[ai].Card())
-	}
-	for _, ai := range toAttrs {
-		cards = append(cards, to.Attributes[ai].Card())
-	}
-	strides := make([]uint64, len(cards))
-	stride := uint64(1)
-	for i, card := range cards {
-		strides[i] = stride
-		stride *= uint64(card)
-	}
-	counts := make(map[uint64]int64)
-	refs := from.fks[fkIdx]
-	for r := 0; r < from.Len(); r++ {
-		var k uint64
-		for i, ai := range fromAttrs {
-			k += uint64(from.cols[ai][r]) * strides[i]
-		}
-		s := refs[r]
-		for i, ai := range toAttrs {
-			k += uint64(to.cols[ai][s]) * strides[len(fromAttrs)+i]
-		}
-		counts[k]++
-	}
-	return counts, cards, nil
 }

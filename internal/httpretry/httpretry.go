@@ -20,6 +20,10 @@ import (
 	"time"
 )
 
+// jitterFrac randomizes each backoff by ±this fraction, so a fleet of
+// clients retrying a recovering server decorrelates.
+const jitterFrac = 0.2
+
 // Config tunes a Client. Every zero field gets a default from New.
 type Config struct {
 	// MaxAttempts bounds the total tries per request (default 3).
@@ -29,9 +33,6 @@ type Config struct {
 	BaseDelay time.Duration
 	// MaxDelay caps the backoff (default 2s).
 	MaxDelay time.Duration
-	// JitterFrac randomizes each delay by ±this fraction (default 0.2),
-	// so a fleet of clients retrying a recovering server decorrelates.
-	JitterFrac float64
 	// MaxRetryAfter caps how long an honored Retry-After header may hold
 	// the client (default 5s) — a server asking for minutes is answered
 	// by giving up after the attempt budget instead.
@@ -63,9 +64,6 @@ func New(cfg Config) *Client {
 	}
 	if cfg.MaxDelay <= 0 {
 		cfg.MaxDelay = 2 * time.Second
-	}
-	if cfg.JitterFrac <= 0 {
-		cfg.JitterFrac = 0.2
 	}
 	if cfg.MaxRetryAfter <= 0 {
 		cfg.MaxRetryAfter = 5 * time.Second
@@ -190,7 +188,7 @@ func (c *Client) delay(attempt int, retryAfter time.Duration) time.Duration {
 	c.mu.Lock()
 	u := c.rng.Float64()
 	c.mu.Unlock()
-	return Backoff(attempt, c.cfg.BaseDelay, c.cfg.MaxDelay, c.cfg.JitterFrac, u)
+	return Backoff(attempt, c.cfg.BaseDelay, c.cfg.MaxDelay, jitterFrac, u)
 }
 
 // Backoff is the jittered exponential delay before retrying after the

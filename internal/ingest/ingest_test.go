@@ -289,6 +289,28 @@ func TestRefitRowThresholdTriggers(t *testing.T) {
 	}
 }
 
+func TestRefitIntervalTriggers(t *testing.T) {
+	db := testDB(t, 20, 40, 5)
+	m := learnModel(t, db)
+	w := openTestWAL(t, t.TempDir())
+	done := make(chan Publication, 4)
+	ing := newIngestor(t, Config{
+		Model: m, DB: db, WAL: w, RefitRows: -1, RefitInterval: 20 * time.Millisecond,
+		Publish: func(p Publication) error { done <- p; return nil },
+	})
+	if _, err := ing.Ingest([]Row{{Table: "Person", Attrs: []int32{0, 1}}}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case p := <-done:
+		if p.Trigger != "interval" {
+			t.Fatalf("trigger = %q, want interval", p.Trigger)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("refit interval never triggered a refit")
+	}
+}
+
 func TestSkipRefitDefers(t *testing.T) {
 	db := testDB(t, 20, 40, 6)
 	m := learnModel(t, db)

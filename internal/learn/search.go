@@ -59,6 +59,9 @@ func (c Criterion) String() string {
 	}
 }
 
+// maxSteps is Search's safety bound on applied steps.
+const maxSteps = 500
+
 // Options configures Search. CPD representation (tree vs table) and tree
 // growth tuning belong to the Oracle, which owns fitting.
 type Options struct {
@@ -67,7 +70,6 @@ type Options struct {
 	MaxParents  int       // per-variable parent bound; 0 = unlimited
 	RandomSteps int       // random escape steps after a local maximum
 	Seed        int64     // seed for the escape steps
-	MaxIters    int       // safety bound on applied steps; 0 = default 500
 	// Workers parallelizes candidate fitting across goroutines. The search
 	// stays deterministic: workers only warm the fit cache; move selection
 	// remains sequential. 0 or 1 means serial. The Oracle must be safe for
@@ -170,9 +172,6 @@ func (s *searcher) emit(kind string, m *move, step int) {
 // maximum it takes RandomSteps random legal moves and resumes, returning
 // the best structure seen.
 func Search(o Oracle, opts Options) (*Result, error) {
-	if opts.MaxIters == 0 {
-		opts.MaxIters = 500
-	}
 	s := &searcher{
 		o:     o,
 		vars:  o.Vars(),
@@ -210,7 +209,7 @@ func Search(o Oracle, opts Options) (*Result, error) {
 
 	best := s.snapshot()
 	steps, escapes := 0, opts.RandomSteps
-	for steps < opts.MaxIters {
+	for steps < maxSteps {
 		mv := s.bestMove()
 		if mv == nil {
 			if escapes <= 0 {

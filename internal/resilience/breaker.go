@@ -60,6 +60,10 @@ func (e *OpenError) Error() string {
 // Is makes errors.Is(err, ErrOpen) match every OpenError.
 func (e *OpenError) Is(target error) bool { return target == ErrOpen }
 
+// tripErrorRate trips a closed breaker once the rolling window's failure
+// fraction reaches it, with at least MinSamples outcomes in the window.
+const tripErrorRate = 0.5
+
 // BreakerConfig tunes one breaker. The zero value of every field gets a
 // sensible default from NewBreaker.
 type BreakerConfig struct {
@@ -68,13 +72,9 @@ type BreakerConfig struct {
 	// ConsecutiveFailures trips the breaker after this many failures in a
 	// row (default 5).
 	ConsecutiveFailures int
-	// ErrorRate trips the breaker when the rolling-window failure
-	// fraction reaches it (default 0.5), once MinSamples outcomes are in
-	// the window.
-	ErrorRate float64
-	// MinSamples is the minimum window population before ErrorRate can
-	// trip (default 20) — a single failure out of two calls is not a
-	// statement about the dependency.
+	// MinSamples is the minimum window population before the error-rate
+	// trip (tripErrorRate) can fire (default 20) — a single failure out
+	// of two calls is not a statement about the dependency.
 	MinSamples int
 	// Window is the rolling error-rate window (default 30s).
 	Window time.Duration
@@ -88,8 +88,6 @@ type BreakerConfig struct {
 	// (default 0.25); the rest are refused, so a recovering dependency is
 	// not instantly re-saturated by the backlog.
 	ProbeChance float64
-	// Seed drives the probe draw (default 1; deterministic for tests).
-	Seed int64
 	// Now overrides the clock (tests).
 	Now func() time.Time
 	// OnTransition, when non-nil, runs (under no breaker lock being
@@ -128,9 +126,6 @@ func NewBreaker(cfg BreakerConfig) *Breaker {
 	if cfg.ConsecutiveFailures <= 0 {
 		cfg.ConsecutiveFailures = 5
 	}
-	if cfg.ErrorRate <= 0 {
-		cfg.ErrorRate = 0.5
-	}
 	if cfg.MinSamples <= 0 {
 		cfg.MinSamples = 20
 	}
@@ -146,9 +141,6 @@ func NewBreaker(cfg BreakerConfig) *Breaker {
 	if cfg.ProbeChance <= 0 {
 		cfg.ProbeChance = 0.25
 	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
@@ -159,7 +151,7 @@ func NewBreaker(cfg BreakerConfig) *Breaker {
 	return &Breaker{
 		cfg:   cfg,
 		cells: make([]breakerCell, secs+1),
-		rng:   rand.New(rand.NewSource(cfg.Seed)),
+		rng:   rand.New(rand.NewSource(1)), // deterministic probe draws
 	}
 }
 
@@ -235,7 +227,7 @@ func (b *Breaker) Record(err error) {
 	}
 	good, bad := b.windowLocked(now)
 	if total := good + bad; total >= int64(b.cfg.MinSamples) &&
-		float64(bad)/float64(total) >= b.cfg.ErrorRate {
+		float64(bad)/float64(total) >= tripErrorRate {
 		b.openLocked(now)
 	}
 }

@@ -75,7 +75,6 @@ func TestBreakerErrorRateTrip(t *testing.T) {
 	b := NewBreaker(BreakerConfig{
 		Name:                "t",
 		ConsecutiveFailures: 1000, // keep the streak trip out of the way
-		ErrorRate:           0.5,
 		MinSamples:          10,
 		Window:              30 * time.Second,
 		Now:                 clk.now,

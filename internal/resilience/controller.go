@@ -55,35 +55,36 @@ type Signals struct {
 	MemFrac float64
 }
 
-// ControllerConfig tunes the brownout feedback loop. Zero fields get
-// defaults from NewController.
+// The ladder's fixed tuning (DESIGN §14).
+const (
+	// burnRef, queueRef and memRef are the SLO burn rate, queue fraction
+	// and heap fraction that alone yield pressure 1.0: eating error budget
+	// at twice the sustainable rate, a half-full admission queue, a heap
+	// at 90% of its soft limit.
+	burnRef  = 2
+	queueRef = 0.5
+	memRef   = 0.9
+	// exitFrac scales an entry threshold down to its release threshold:
+	// a level is left only once pressure falls below enter[level-1] *
+	// exitFrac, the hysteresis band that stops flapping at a boundary.
+	exitFrac = 0.5
+	// escalateTicks is how many consecutive ticks pressure must demand a
+	// higher state before the controller escalates.
+	escalateTicks = 2
+	// releaseTicks is how many consecutive ticks pressure must sit below
+	// the release threshold before the controller steps down one level:
+	// recovery is deliberately slower than escalation.
+	releaseTicks = 3
+)
+
+// enter holds the pressure thresholds at which Brownout1, Brownout2 and
+// Shed engage.
+var enter = [3]float64{1, 2, 4}
+
+// ControllerConfig wires the brownout feedback loop.
 type ControllerConfig struct {
 	// Tick is the sampling period (default 1s).
 	Tick time.Duration
-	// Enter holds the pressure thresholds at which Brownout1, Brownout2,
-	// and Shed engage (default {1, 2, 4}).
-	Enter [3]float64
-	// ExitFrac scales an Enter threshold down to its release threshold
-	// (default 0.5): a level is left only once pressure falls below
-	// Enter[level-1]*ExitFrac, which is the hysteresis band that stops
-	// flapping right at the boundary.
-	ExitFrac float64
-	// EscalateTicks is how many consecutive ticks pressure must demand a
-	// higher state before the controller escalates (default 2).
-	EscalateTicks int
-	// ReleaseTicks is how many consecutive ticks pressure must sit below
-	// the release threshold before the controller steps down one level
-	// (default 3) — recovery is deliberately slower than escalation.
-	ReleaseTicks int
-	// BurnRef is the burn rate that alone yields pressure 1.0 (default 2,
-	// i.e. eating budget at twice the sustainable rate).
-	BurnRef float64
-	// QueueRef is the queue fraction that alone yields pressure 1.0
-	// (default 0.5).
-	QueueRef float64
-	// MemRef is the memory fraction that alone yields pressure 1.0
-	// (default 0.9).
-	MemRef float64
 	// Source samples the server's signals; called once per tick from the
 	// controller goroutine. Required for Start; Step can be driven
 	// directly in tests without it.
@@ -120,27 +121,6 @@ func NewController(cfg ControllerConfig) *Controller {
 	if cfg.Tick <= 0 {
 		cfg.Tick = time.Second
 	}
-	if cfg.Enter == [3]float64{} {
-		cfg.Enter = [3]float64{1, 2, 4}
-	}
-	if cfg.ExitFrac <= 0 || cfg.ExitFrac >= 1 {
-		cfg.ExitFrac = 0.5
-	}
-	if cfg.EscalateTicks <= 0 {
-		cfg.EscalateTicks = 2
-	}
-	if cfg.ReleaseTicks <= 0 {
-		cfg.ReleaseTicks = 3
-	}
-	if cfg.BurnRef <= 0 {
-		cfg.BurnRef = 2
-	}
-	if cfg.QueueRef <= 0 {
-		cfg.QueueRef = 0.5
-	}
-	if cfg.MemRef <= 0 {
-		cfg.MemRef = 0.9
-	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
@@ -155,14 +135,14 @@ func NewController(cfg ControllerConfig) *Controller {
 
 // Pressure folds one signal sample into a single scalar: the max of the
 // normalized signals, so whichever resource is most stressed dictates
-// the state. 1.0 is the Brownout1 boundary by default.
+// the state. 1.0 is the Brownout1 boundary.
 func (c *Controller) Pressure(sig Signals) float64 {
-	p := sig.Burn / c.cfg.BurnRef
-	if q := sig.QueueFrac / c.cfg.QueueRef; q > p {
+	p := sig.Burn / burnRef
+	if q := sig.QueueFrac / queueRef; q > p {
 		p = q
 	}
 	if sig.MemFrac > 0 {
-		if m := sig.MemFrac / c.cfg.MemRef; m > p {
+		if m := sig.MemFrac / memRef; m > p {
 			p = m
 		}
 	}
@@ -172,20 +152,20 @@ func (c *Controller) Pressure(sig Signals) float64 {
 // target maps a pressure value to the state it asks for.
 func (c *Controller) target(p float64) State {
 	switch {
-	case p >= c.cfg.Enter[2]:
+	case p >= enter[2]:
 		return Shed
-	case p >= c.cfg.Enter[1]:
+	case p >= enter[1]:
 		return Brownout2
-	case p >= c.cfg.Enter[0]:
+	case p >= enter[0]:
 		return Brownout1
 	}
 	return Normal
 }
 
 // Step folds one sample into the hysteresis state machine. Escalation
-// jumps straight to the demanded state after EscalateTicks consecutive
+// jumps straight to the demanded state after escalateTicks consecutive
 // ticks above it; release steps down one level at a time after
-// ReleaseTicks consecutive ticks below the current level's exit
+// releaseTicks consecutive ticks below the current level's exit
 // threshold. The two counters reset each other, so oscillation around a
 // boundary holds the current state. Not safe for concurrent callers —
 // the tick loop is the only writer.
@@ -198,7 +178,7 @@ func (c *Controller) Step(sig Signals) {
 	if want > cur {
 		c.above++
 		c.below = 0
-		if c.above >= c.cfg.EscalateTicks {
+		if c.above >= escalateTicks {
 			c.transition(cur, want, p)
 			c.above = 0
 		}
@@ -212,10 +192,10 @@ func (c *Controller) Step(sig Signals) {
 	// Exit threshold for the current level, scaled by the hysteresis
 	// band: we only step down once pressure is comfortably below the
 	// level's entry point.
-	exit := c.cfg.Enter[cur-1] * c.cfg.ExitFrac
+	exit := enter[cur-1] * exitFrac
 	if p < exit {
 		c.below++
-		if c.below >= c.cfg.ReleaseTicks {
+		if c.below >= releaseTicks {
 			c.transition(cur, cur-1, p)
 			c.below = 0
 		}
@@ -301,7 +281,7 @@ func (c *Controller) RetryAfter() time.Duration {
 	if c == nil {
 		return time.Second
 	}
-	d := c.cfg.Tick * time.Duration(c.cfg.ReleaseTicks)
+	d := c.cfg.Tick * releaseTicks
 	if d < time.Second {
 		d = time.Second
 	}

@@ -14,7 +14,7 @@ func stepN(c *Controller, n int, sig Signals) {
 }
 
 func TestControllerEscalatesAfterConsecutiveTicks(t *testing.T) {
-	c := NewController(ControllerConfig{EscalateTicks: 2, ReleaseTicks: 3})
+	c := NewController(ControllerConfig{})
 	// One hot tick is noise, not a trend.
 	c.Step(Signals{Burn: 3}) // pressure 1.5 -> wants brownout1
 	if got := c.State(); got != Normal {
@@ -27,7 +27,7 @@ func TestControllerEscalatesAfterConsecutiveTicks(t *testing.T) {
 }
 
 func TestControllerEscalationJumpsToDemandedState(t *testing.T) {
-	c := NewController(ControllerConfig{EscalateTicks: 2, ReleaseTicks: 3})
+	c := NewController(ControllerConfig{})
 	// Pressure 8/2 = 4 demands shed directly; no ladder-climbing through
 	// intermediate states while the server is on fire.
 	stepN(c, 2, Signals{Burn: 8})
@@ -41,9 +41,7 @@ func TestControllerEscalationJumpsToDemandedState(t *testing.T) {
 func TestControllerHysteresisNoFlap(t *testing.T) {
 	var transitions atomic.Int64
 	c := NewController(ControllerConfig{
-		EscalateTicks: 2,
-		ReleaseTicks:  3,
-		OnTransition:  func(from, to State, p float64) { transitions.Add(1) },
+		OnTransition: func(from, to State, p float64) { transitions.Add(1) },
 	})
 	// Enter brownout1 cleanly.
 	stepN(c, 2, Signals{Burn: 2.2}) // pressure 1.1
@@ -53,7 +51,7 @@ func TestControllerHysteresisNoFlap(t *testing.T) {
 	base := transitions.Load()
 	// Oscillate around the entry threshold (pressure alternating 1.1 /
 	// 0.9). 0.9 is above the exit threshold (1.0 * 0.5 = 0.5), so the
-	// release counter must never fire; 1.1 never holds for EscalateTicks
+	// release counter must never fire; 1.1 never holds for escalateTicks
 	// toward a higher state either.
 	for i := 0; i < 50; i++ {
 		if i%2 == 0 {
@@ -77,8 +75,6 @@ func TestControllerRecoveryToNormal(t *testing.T) {
 	var mu sync.Mutex
 	var seq []State
 	c := NewController(ControllerConfig{
-		EscalateTicks: 2,
-		ReleaseTicks:  3,
 		OnTransition: func(from, to State, p float64) {
 			mu.Lock()
 			seq = append(seq, to)
@@ -89,7 +85,7 @@ func TestControllerRecoveryToNormal(t *testing.T) {
 	if got := c.State(); got != Shed {
 		t.Fatalf("setup: state = %v, want shed", got)
 	}
-	// Faults clear: pressure 0. Each level needs ReleaseTicks ticks.
+	// Faults clear: pressure 0. Each level needs releaseTicks ticks.
 	stepN(c, 3, Signals{})
 	if got := c.State(); got != Brownout2 {
 		t.Fatalf("after 3 calm ticks state = %v, want brownout2", got)
@@ -123,7 +119,7 @@ func TestControllerRecoveryToNormal(t *testing.T) {
 // TestControllerPartialRecoveryReescalates checks the release counter
 // resets when pressure comes back mid-recovery.
 func TestControllerPartialRecoveryReescalates(t *testing.T) {
-	c := NewController(ControllerConfig{EscalateTicks: 2, ReleaseTicks: 3})
+	c := NewController(ControllerConfig{})
 	stepN(c, 2, Signals{Burn: 5}) // pressure 2.5 -> brownout2
 	if got := c.State(); got != Brownout2 {
 		t.Fatalf("setup: state = %v, want brownout2", got)
@@ -139,7 +135,7 @@ func TestControllerPartialRecoveryReescalates(t *testing.T) {
 
 func TestControllerPressureIsMaxOfSignals(t *testing.T) {
 	c := NewController(ControllerConfig{})
-	// Defaults: BurnRef 2, QueueRef 0.5, MemRef 0.9.
+	// burnRef 2, queueRef 0.5, memRef 0.9.
 	if got := c.Pressure(Signals{Burn: 4}); got != 2 {
 		t.Fatalf("burn pressure = %v, want 2", got)
 	}
@@ -162,9 +158,7 @@ func TestControllerPressureIsMaxOfSignals(t *testing.T) {
 func TestControllerTickLoopAndStop(t *testing.T) {
 	var sig atomic.Int64 // burn x10
 	c := NewController(ControllerConfig{
-		Tick:          2 * time.Millisecond,
-		EscalateTicks: 2,
-		ReleaseTicks:  2,
+		Tick: 2 * time.Millisecond,
 		Source: func() Signals {
 			return Signals{Burn: float64(sig.Load()) / 10}
 		},

@@ -140,7 +140,7 @@ func (s *Server) handleSnapshotLoad(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, fmt.Sprintf("%s header must be a positive integer generation", GenHeader))
 		return
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, maxSnapshotBytes)
+	r.Body = http.MaxBytesReader(w, r.Body, store.MaxSnapshotBytes)
 	raw, err := io.ReadAll(r.Body)
 	if err != nil {
 		var tooBig *http.MaxBytesError
@@ -184,7 +184,3 @@ func (s *Server) handleSnapshotLoad(w http.ResponseWriter, r *http.Request) {
 		"status":     "published",
 	})
 }
-
-// maxSnapshotBytes bounds a posted snapshot (64 MiB — far past any
-// budgeted PRM, small enough to refuse a runaway stream).
-const maxSnapshotBytes = 64 << 20

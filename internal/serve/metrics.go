@@ -321,17 +321,12 @@ func (m *Metrics) ObserveFeedback() { m.feedback.Inc() }
 // drifted).
 func (m *Metrics) ObserveDrift() { m.driftEvents.Inc() }
 
-// ObserveQError records the q-error (max(est/truth, truth/est), with both
-// sides floored at 1 row to stay finite) of one request that was checked
-// against the exact executor. Lock-free: one ring store, one counter add,
-// and a CAS-max that only retries while the sample is a new record.
+// ObserveQError records the q-error (see qerror) of one request that was
+// checked against the exact executor. Lock-free: one ring store, one
+// counter add, and a CAS-max that only retries while the sample is a new
+// record.
 func (m *Metrics) ObserveQError(estimate float64, truth int64) {
-	e := math.Max(estimate, 1)
-	tr := math.Max(float64(truth), 1)
-	q := e / tr
-	if q < 1 {
-		q = tr / e
-	}
+	q := qerror(estimate, truth)
 	i := m.qerrIdx.Add(1) - 1
 	m.qerrRing[i&(qerrWindow-1)].Store(math.Float64bits(q))
 	m.errSamples.Add(1)

@@ -67,6 +67,10 @@ type IngestPolicy struct {
 	MaxPending int64
 }
 
+// rebuildJitter randomizes each rebuild retry delay by ±this fraction, so
+// many models failing together do not retry in lockstep.
+const rebuildJitter = 0.2
+
 // RetryPolicy shapes the rebuild retry loop: exponential backoff with
 // jitter between attempts, a cap on both the delay and the attempt count.
 // A model whose rebuild cycle exhausts every attempt keeps serving its
@@ -79,9 +83,6 @@ type RetryPolicy struct {
 	BaseDelay time.Duration
 	// MaxDelay caps the backoff (default 15s).
 	MaxDelay time.Duration
-	// JitterFrac randomizes each delay by ±this fraction (default 0.2),
-	// so many models failing together do not retry in lockstep.
-	JitterFrac float64
 	// Seed, when non-zero, seeds the policy's own jitter source so every
 	// rebuild cycle draws the same delay sequence — the determinism the
 	// retry tests need under -count=10. Zero seeds from the clock.
@@ -97,9 +98,6 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	}
 	if p.MaxDelay == 0 {
 		p.MaxDelay = 15 * time.Second
-	}
-	if p.JitterFrac == 0 {
-		p.JitterFrac = 0.2
 	}
 	return p
 }
@@ -717,7 +715,7 @@ func (m *Model) rebuildCycle(policy RetryPolicy, rng *rand.Rand, stop <-chan str
 		}
 		if willRetry {
 			select {
-			case <-time.After(httpretry.Backoff(attempt, policy.BaseDelay, policy.MaxDelay, policy.JitterFrac, rng.Float64())):
+			case <-time.After(httpretry.Backoff(attempt, policy.BaseDelay, policy.MaxDelay, rebuildJitter, rng.Float64())):
 			case <-stop:
 				// Registry shutdown: abandon the cycle without marking the
 				// model degraded — it still serves its last good snapshot

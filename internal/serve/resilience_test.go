@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"prmsel/internal/faults"
 	"prmsel/internal/resilience"
@@ -129,6 +130,43 @@ func TestShedServesHitsRefusesMisses(t *testing.T) {
 	item := bout["items"].([]any)[0].(map[string]any)
 	if msg, _ := item["error"].(string); !strings.Contains(msg, "shed") {
 		t.Fatalf("batch item error = %q, want a shed refusal", msg)
+	}
+}
+
+// TestMemSoftLimitSheds drives the heap-pressure signal end to end: with a
+// one-byte soft limit the live heap reads far past it, so the
+// controller's own tick loop must walk the server to shed, where a
+// cache-missing estimate gets a structured 503.
+func TestMemSoftLimitSheds(t *testing.T) {
+	srv := NewServer(Config{
+		Registry:     fig1Registry(t),
+		MemSoftLimit: 1,
+		BrownoutTick: 5 * time.Millisecond,
+		Logger:       slog.New(slog.NewTextHandler(io.Discard, nil)),
+		Logf:         func(string, ...any) {},
+	})
+	t.Cleanup(srv.Close)
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		_, out := getJSON(t, ts.URL+"/healthz")
+		res, _ := out["resilience"].(map[string]any)
+		if res["state"] == "shed" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("resilience state = %v under a 1-byte soft limit, want shed", res["state"])
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	resp, out := postEstimate(t, ts.URL, `{"query":"FROM People p WHERE p.Income = high"}`)
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("cache miss under memory shed: status = %d, want 503 (body %v)", resp.StatusCode, out)
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Fatal("memory-shed 503 lacks Retry-After")
 	}
 }
 

@@ -36,10 +36,6 @@ type Config struct {
 	RequestTimeout time.Duration
 	// MaxBodyBytes bounds request bodies (default 1 MiB).
 	MaxBodyBytes int64
-	// ExactEvery, when positive, runs every Nth estimate request through
-	// the exact executor too and feeds the observed q-error into the
-	// metrics (default 0: only requests that ask for exact run it).
-	ExactEvery int
 	// MaxCells bounds exact elimination: a query whose factor products
 	// would exceed this many cells degrades to the sampling tier instead
 	// of allocating. 0 means unlimited (degradation then triggers only on
@@ -140,7 +136,6 @@ type Server struct {
 	slo      *obs.SLO
 	logf     func(format string, args ...any)
 	logger   *slog.Logger
-	reqSeq   atomic.Int64 // drives ExactEvery sampling
 	start    time.Time
 	draining atomic.Bool      // set by StartDrain; flips /readyz to 503
 	res      *resilienceState // nil when DisableBrownout is set
@@ -561,8 +556,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	rec.degraded = ce.tier != string(core.TierExact)
 	c := cacheInfo{Hit: hit, Deduped: deduped}
 
-	sampled := s.cfg.ExactEvery > 0 && s.reqSeq.Add(1)%int64(s.cfg.ExactEvery) == 0
-	if ce.reply != nil && !req.Exact && !sampled && !trace {
+	if ce.reply != nil && !req.Exact && !trace {
 		// A plain answer: the entry's pre-rendered reply plus this
 		// request's cache outcome and latency.
 		// Room for the tail: replyTail's length plus 20 latency digits.
@@ -574,8 +568,8 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := ce.response(model.Name, snap.Generation, c)
 
-	// Ground truth: on request, or on the configured sampling cadence.
-	if req.Exact || sampled {
+	// Ground truth, on request.
+	if req.Exact {
 		exactStart := time.Now()
 		esp := root.Start("exact")
 		truth, err := snap.DB.Count(q)
@@ -1146,8 +1140,8 @@ func encodeJSON(w io.Writer, v any) error {
 	return enc.Encode(v)
 }
 
-// qerror is the symmetric multiplicative error, floored at one row on both
-// sides so empty results stay finite (matches Metrics.ObserveQError).
+// qerror is the symmetric multiplicative error, max(est/truth, truth/est),
+// floored at one row on both sides so empty results stay finite.
 func qerror(estimate float64, truth int64) float64 {
 	e := estimate
 	if e < 1 {

@@ -64,6 +64,10 @@ const (
 	Version = 1
 	// headerSize = magic + version byte + crc32 + payload length.
 	headerSize = len(Magic) + 1 + 4 + 8
+	// MaxSnapshotBytes bounds a framed snapshot sent between processes:
+	// the gate's rollout fetch and a replica's POST .../load (64 MiB, far
+	// past any budgeted PRM, small enough to refuse a runaway stream).
+	MaxSnapshotBytes = 64 << 20
 )
 
 // ErrNoSnapshot reports that recovery found no valid generation at all.
