@@ -47,9 +47,12 @@ race:
 ## through which domains wider than 256 values reach the learner) — each
 ## must return an error or a usable result on arbitrary bytes, never
 ## panic. Corpus finds land in each package's testdata/fuzz/ for `test` to
-## replay forever.
+## replay forever. FuzzDecode bounds each minimization to 200 runs: its
+## seeds reach new code so often that minimizing every new input, up to
+## 60 s each by default, took the whole 10 s (about 10k runs instead of
+## 170k).
 fuzz:
-	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=10s ./internal/core
+	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=10s -fuzzminimizetime=200x ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzPayload -fuzztime=10s ./internal/store
 	$(GO) test -run='^$$' -fuzz=FuzzIngestRecord -fuzztime=10s ./internal/ingest
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=10s ./internal/queryparse

@@ -240,6 +240,52 @@ func BenchmarkEstimateJoin(b *testing.B) {
 	}
 }
 
+// BenchmarkCensusMisses times what each parameter epoch of the served
+// census model pays for its first queries: every iteration publishes a
+// fresh epoch with RefitParameters (not timed), so every estimate builds
+// its shape's network, tables and plan again, as after an ingest refit.
+// The model is the served one: 40,000 rows at seed 1, tree CPDs, SSN,
+// 4,400 bytes. The attribute sets include children of Income
+// (Children, Earner, MaritalStatus, Sex) without Income itself.
+func BenchmarkCensusMisses(b *testing.B) {
+	db := datagen.Census(40000, 1)
+	est, err := eval.LearnPRM(db, "PRM", eval.LearnOptions{Kind: TreeCPDs, Criterion: SSN, Budget: 4400, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	sets := [][]string{
+		{"Children"}, {"Earner"}, {"MaritalStatus"}, {"Sex"},
+		{"Education", "Children"}, {"Industry", "Children", "EmployType"},
+		{"Sex", "Earner"}, {"Age", "Income"},
+	}
+	tab := db.Table("Census")
+	var qs []*query.Query
+	for _, set := range sets {
+		for i := 0; i < 4; i++ {
+			q := query.New().Over("c", "Census")
+			for _, attr := range set {
+				card := tab.Attributes[tab.AttrIndex(attr)].Card()
+				q.WhereEq("c", attr, int32((3*i+1)%card))
+			}
+			qs = append(qs, q)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if err := est.M.RefitParameters(db); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		for _, q := range qs {
+			if _, err := est.M.EstimateCount(q); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // Ablations (DESIGN.md §5).
 
 // BenchmarkAblationScoring compares the three step-selection rules of

@@ -30,8 +30,9 @@ var flagDefiners = map[string]bool{
 // register through the flag package or a FlagSet named fs.
 func registeredFlags(t *testing.T) map[string]bool {
 	t.Helper()
-	return callLiterals(t, []string{filepath.Join("cmd", "*", "*.go")}, func(sel *ast.SelectorExpr) (int, bool) {
-		if !flagDefiners[sel.Sel.Name] {
+	return callLiterals(t, []string{filepath.Join("cmd", "*", "*.go")}, func(fun ast.Expr) (int, bool) {
+		sel, ok := fun.(*ast.SelectorExpr)
+		if !ok || !flagDefiners[sel.Sel.Name] {
 			return 0, false
 		}
 		if pkg, ok := sel.X.(*ast.Ident); !ok || (pkg.Name != "flag" && pkg.Name != "fs") {
@@ -56,8 +57,9 @@ var familyRegistrars = map[string]bool{
 func registeredFamilies(t *testing.T) map[string]bool {
 	t.Helper()
 	globs := []string{filepath.Join("internal", "serve", "*.go"), filepath.Join("internal", "cluster", "*.go")}
-	all := callLiterals(t, globs, func(sel *ast.SelectorExpr) (int, bool) {
-		return 0, familyRegistrars[sel.Sel.Name]
+	all := callLiterals(t, globs, func(fun ast.Expr) (int, bool) {
+		sel, ok := fun.(*ast.SelectorExpr)
+		return 0, ok && familyRegistrars[sel.Sel.Name]
 	})
 	families := make(map[string]bool)
 	for name := range all {
@@ -68,10 +70,41 @@ func registeredFamilies(t *testing.T) map[string]bool {
 	return families
 }
 
+// routeGlobs are the files that register the HTTP routes: serve's
+// replica, the gate, and the binaries.
+var routeGlobs = []string{
+	filepath.Join("internal", "serve", "*.go"),
+	filepath.Join("internal", "cluster", "*.go"),
+	filepath.Join("cmd", "*", "*.go"),
+}
+
+// registeredRoutes returns the path of every route pattern registered
+// through a mux's HandleFunc or Handle, or through serve's api wrapper,
+// without its method: "/v1/models/{name}/load", "/debug/pprof/".
+func registeredRoutes(t *testing.T) map[string]bool {
+	t.Helper()
+	all := callLiterals(t, routeGlobs, func(fun ast.Expr) (int, bool) {
+		switch f := fun.(type) {
+		case *ast.SelectorExpr:
+			return 0, f.Sel.Name == "HandleFunc" || f.Sel.Name == "Handle"
+		case *ast.Ident:
+			return 0, f.Name == "api"
+		}
+		return 0, false
+	})
+	routes := make(map[string]bool)
+	for pattern := range all {
+		if i := strings.IndexByte(pattern, '/'); i >= 0 {
+			routes[pattern[i:]] = true
+		}
+	}
+	return routes
+}
+
 // callLiterals parses the non-test Go files matching globs and returns the
-// string literal passed at argument index arg of every call whose selector
-// match accepts.
-func callLiterals(t *testing.T, globs []string, match func(*ast.SelectorExpr) (arg int, ok bool)) map[string]bool {
+// string literal passed at argument index arg of every call whose
+// function expression match accepts.
+func callLiterals(t *testing.T, globs []string, match func(fun ast.Expr) (arg int, ok bool)) map[string]bool {
 	t.Helper()
 	out := make(map[string]bool)
 	fset := token.NewFileSet()
@@ -93,11 +126,7 @@ func callLiterals(t *testing.T, globs []string, match func(*ast.SelectorExpr) (a
 				if !ok {
 					return true
 				}
-				sel, ok := call.Fun.(*ast.SelectorExpr)
-				if !ok {
-					return true
-				}
-				arg, ok := match(sel)
+				arg, ok := match(call.Fun)
 				if !ok || arg >= len(call.Args) {
 					return true
 				}
@@ -258,4 +287,86 @@ func TestDocsNameOnlyRegisteredFamilies(t *testing.T) {
 	sort.Strings(unnamed)
 	t.Logf("%d registered families, %d named in the docs (exactly or by prefix); named by no doc: %s",
 		len(families), len(covered), strings.Join(unnamed, " "))
+}
+
+// goneRoutes are routes the docs mention only to say they were removed:
+// a doc may name them, and no pattern may register them again.
+var goneRoutes = map[string]bool{"/debug/vars": true}
+
+// routeToken reports whether an inline-code token of the docs names a
+// route: it starts with a slash and a letter, and is neither a scratch
+// file of the examples (/tmp/…) nor the .gitignore pattern /prmbench.
+func routeToken(tok string) bool {
+	return len(tok) > 1 && tok[0] == '/' && ('a' <= tok[1] && tok[1] <= 'z') &&
+		!strings.HasPrefix(tok, "/tmp/") && tok != "/prmbench"
+}
+
+// routeServes reports whether the route pattern path pat serves the
+// documented path doc: a pattern ending in a slash serves its subtree,
+// and a {wildcard} segment of the pattern matches any one segment,
+// including a documented placeholder such as {name} or <m>.
+func routeServes(pat, doc string) bool {
+	if strings.HasSuffix(pat, "/") {
+		return strings.HasPrefix(doc, pat)
+	}
+	ps, ds := strings.Split(pat, "/"), strings.Split(doc, "/")
+	if len(ps) != len(ds) {
+		return false
+	}
+	for i := range ps {
+		if ps[i] != ds[i] && !strings.HasPrefix(ps[i], "{") {
+			return false
+		}
+	}
+	return true
+}
+
+// TestDocsNameOnlyRegisteredRoutes: every route the operator docs name
+// in an inline code span is served by a registered pattern; a query
+// string is ignored, and a path ending in * is a prefix that must start
+// at least one registered route. The removed routes of goneRoutes may be
+// named but must stay unregistered. Registered routes no doc names are
+// logged, not failed.
+func TestDocsNameOnlyRegisteredRoutes(t *testing.T) {
+	routes := registeredRoutes(t)
+	if len(routes) == 0 {
+		t.Fatal("found no route registrations")
+	}
+	for r := range routes {
+		if goneRoutes[r] {
+			t.Errorf("%s is registered again, but the docs say it was removed", r)
+		}
+	}
+	covered := make(map[string]bool)
+	for _, doc := range operatorDocs {
+		for tok, line := range docTokens(t, doc) {
+			if !routeToken(tok) {
+				continue
+			}
+			path, _, _ := strings.Cut(tok, "?")
+			if goneRoutes[path] {
+				continue
+			}
+			prefix, isPrefix := strings.CutSuffix(path, "*")
+			matched := false
+			for r := range routes {
+				if isPrefix && strings.HasPrefix(r, prefix) || !isPrefix && routeServes(r, path) {
+					matched = true
+					covered[r] = true
+				}
+			}
+			if !matched {
+				t.Errorf("%s:%d names %s, which no registered route serves", doc, line, tok)
+			}
+		}
+	}
+	var unnamed []string
+	for r := range routes {
+		if !covered[r] {
+			unnamed = append(unnamed, r)
+		}
+	}
+	sort.Strings(unnamed)
+	t.Logf("%d registered routes, %d named in the docs; named by no doc: %s",
+		len(routes), len(covered), strings.Join(unnamed, " "))
 }

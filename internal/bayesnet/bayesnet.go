@@ -47,9 +47,12 @@ func New(vars []Variable) *Network {
 
 // SetTables makes inference read variable v's CPD table from table(v)
 // instead of expanding CPD(v) on each use. table(v) must hold the data
-// of CPDFactor over v and its parents — or over any ids that sort the
-// same way, so that many networks can share one table per CPD — and
-// stay unchanged while the network is in use. Call it after the last
+// of CPDFactor of CPD(v) over v and its parents — or over any ids that
+// sort the same way, so that many networks can share one table per CPD
+// — and stay unchanged while the network is in use. CPD(v) is whatever
+// the caller serves for v: core installs a tree CPD served over its
+// parents' classes as that coarsened table, and each class variable's
+// 0/1 map as a CPD of its own (Coarsening). Call it after the last
 // SetParents/SetCPD.
 func (n *Network) SetTables(table func(v int) []float64) { n.tables = table }
 

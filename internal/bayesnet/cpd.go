@@ -385,13 +385,16 @@ func (t *TreeCPD) check(childCard int, parentCards []int) error {
 // materialize factors of that size.
 const maxCard = 1 << 20
 
-// maxCells bounds a CPD's dense size: the child's cardinality times the
-// product of its parents'. Inference expands every CPD it reaches into a
-// table of that many float64s, and a tree CPD stores no table whose
-// length would give a corrupt model away, so without this bound a few
-// parents within maxCard could demand more memory than any host has.
-// 1<<24 cells (128 MiB) is 14 times the largest served table,
-// Census.Income at 1,156,680 cells.
+// maxCells bounds the cells serving holds for one CPD (coarsen): its
+// dense table — the child's cardinality times the product of its
+// parents' — or, for a tree CPD the selection rule serves over classes,
+// the coarsened table plus its class maps. Inference expands every CPD
+// it reaches into a table of that many float64s, and a tree CPD stores
+// no table whose length would give a corrupt model away, so without this
+// bound a few parents within maxCard could demand more memory than any
+// host has. 1<<24 cells (128 MiB) is far above any served table of the
+// built-in models, whose largest holds 1,344 cells (census Income over
+// its parents' classes; 1,156,680 cells dense).
 const maxCells = 1 << 24
 
 // distTolerance is the allowed |sum-1| of a stored distribution: loose
@@ -401,10 +404,10 @@ const distTolerance = 1e-6
 
 // CheckCPD reports whether c can serve as the CPD of a variable with
 // cardinality childCard whose parents have cardinalities parentCards:
-// every cardinality in [1, 2^20] and at most 2^24 cells once expanded; a
-// tree well formed and at most 64 levels deep; a shape that matches the
-// variable and its parents; and every distribution finite, non-negative
-// and summing to 1 within 1e-6.
+// every cardinality in [1, 2^20]; a tree well formed and at most 64
+// levels deep; a shape that matches the variable and its parents; at
+// most 2^24 cells in what serving builds for it (coarsen); and every
+// distribution finite, non-negative and summing to 1 within 1e-6.
 // Decoders of model bytes run it on each variable, so a corrupt or
 // adversarial model is rejected before inference could panic on it or
 // return counts from rows that are not distributions.
@@ -414,17 +417,13 @@ func CheckCPD(c CPD, childCard int, parentCards []int) error {
 			return fmt.Errorf("cardinality %d outside [1, %d]", card, maxCard)
 		}
 	}
-	cells := childCard
-	for _, card := range parentCards {
-		if cells > maxCells/card { // cells*card > maxCells, without overflow
-			return fmt.Errorf("CPD expands to more than %d cells", maxCells)
-		}
-		cells *= card
-	}
 	switch c := c.(type) {
 	case *TableCPD:
 		if c == nil {
 			return fmt.Errorf("nil table CPD")
+		}
+		if err := checkCells(c, childCard, parentCards); err != nil {
+			return err
 		}
 		if err := c.check(childCard, parentCards); err != nil {
 			return err
@@ -445,6 +444,9 @@ func CheckCPD(c CPD, childCard int, parentCards []int) error {
 		if err := c.check(childCard, parentCards); err != nil {
 			return err
 		}
+		if err := checkCells(c, childCard, parentCards); err != nil {
+			return err
+		}
 		var err error
 		c.Walk(func(n *TreeNode) {
 			if err == nil && n.IsLeaf() {
@@ -455,6 +457,14 @@ func CheckCPD(c CPD, childCard int, parentCards []int) error {
 	default: // the package defines no other CPD kind
 		return fmt.Errorf("no CPD")
 	}
+}
+
+// checkCells enforces maxCells on the cells serving builds for c.
+func checkCells(c CPD, childCard int, parentCards []int) error {
+	if _, cells := coarsen(c, childCard, parentCards); cells > maxCells {
+		return fmt.Errorf("CPD expands to more than %d cells", maxCells)
+	}
+	return nil
 }
 
 // checkTreeWellFormed rejects tree shapes Walk and check would crash on:

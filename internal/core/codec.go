@@ -107,6 +107,7 @@ func Decode(r io.Reader) (*PRM, error) {
 	for id, v := range dto.Vars {
 		m.index[v.Name()] = id
 	}
+	m.serve(cpds, true)
 	m.epoch.Store(newParamEpoch(cpds, tableSize))
 	if err := m.Validate(); err != nil {
 		return nil, fmt.Errorf("core: decode: %w", err)

@@ -61,6 +61,17 @@ func firstLeaf(c *bayesnet.TreeCPD) *bayesnet.TreeNode {
 	return n
 }
 
+// leCuts returns a balanced tree of OpLE splits on parent p at the
+// sorted operands cuts, with uniform leaves over two child values.
+func leCuts(p int, cuts []int32) *bayesnet.TreeNode {
+	if len(cuts) == 0 {
+		return &bayesnet.TreeNode{Dist: []float64{0.5, 0.5}}
+	}
+	mid := len(cuts) / 2
+	return &bayesnet.TreeNode{Split: p, Op: bayesnet.OpLE, Arg: cuts[mid],
+		Children: []*bayesnet.TreeNode{leCuts(p, cuts[:mid]), leCuts(p, cuts[mid+1:])}}
+}
+
 // TestDecodeRejectsCorruptModels walks the invariants Decode must prove.
 // Each mutation used to reach inference as an index panic or as counts
 // computed from rows that are not distributions; each must now come back
@@ -110,12 +121,25 @@ func TestDecodeRejectsCorruptModels(t *testing.T) {
 		{"CPD row length mismatch", true, func(d *prmDTO) { d.Tables[3].Dist = d.Tables[3].Dist[:2] }, "Purchase~Buyer", "has 2 entries"},
 		{"negative table size", false, func(d *prmDTO) { d.TableSize["Purchase"] = -800 }, "Purchase", "table size -800"},
 		{"oversize tree", false, func(d *prmDTO) {
-			// A well-formed model in which Purchase.Amount's one-leaf tree
-			// stands for 2·2·8192·8192 = 2^28 cells once expanded.
+			// A well-formed model in which Purchase.Amount's tree splits
+			// every value of one 8,192-value parent apart and cuts the
+			// other into 1,025 classes below one branch: served over
+			// classes it still needs 2·8192·1025 cells, plus 8192·1025
+			// for the class map (2^28 cells dense).
 			const card = 1 << 13
 			d.Vars[0].Card, d.Parents[0], d.Trees[0] = card, nil, bayesnet.NewTreeCPD(card, nil)
 			d.Vars[1].Card, d.Parents[1], d.Trees[1] = card, nil, bayesnet.NewTreeCPD(card, nil)
-			d.Parents[2], d.Trees[2] = []int{3, 0, 1}, bayesnet.NewTreeCPD(2, []int{2, card, card})
+			tree := bayesnet.NewTreeCPD(2, []int{2, card, card})
+			tree.Root = &bayesnet.TreeNode{Split: 1, Children: make([]*bayesnet.TreeNode, card)}
+			for v := range tree.Root.Children {
+				tree.Root.Children[v] = &bayesnet.TreeNode{Dist: []float64{0.5, 0.5}}
+			}
+			cuts := make([]int32, 1024)
+			for j := range cuts {
+				cuts[j] = int32(8*j + 3)
+			}
+			tree.Root.Children[0] = leCuts(2, cuts)
+			d.Parents[2], d.Trees[2] = []int{3, 0, 1}, tree
 			d.Parents[3], d.Trees[3] = nil, bayesnet.NewTreeCPD(2, nil)
 		}, "Purchase.Amount", "more than 16777216 cells"},
 	}
@@ -251,6 +275,40 @@ func FuzzDecode(f *testing.F) {
 	f.Add(framed[:len(framed)/2])
 	f.Add(frame(nil))
 	f.Add([]byte("PRMSNAP1"))
+	// A model serving its variable 0, Purchase.Amount, over classes: its
+	// tree reads Person.Income (64 values) through an OpLE, an OpEQ and
+	// a second OpLE, splits the join indicator by value, and never reads
+	// Person.Owner (64 values), so fuzzing its bytes reaches the class
+	// maps through the query on variable 0. Dyadic probabilities keep the
+	// seed small, and with it the fuzzer's minimization of its mutants.
+	d := modelDTO(f, learn.Tree)
+	income, owner, amount, buyer := d.Vars[0], d.Vars[1], d.Vars[2], d.Vars[3]
+	income.Card, owner.Card, amount.Card = 64, 64, 8
+	d.Vars = []Var{amount, income, owner, buyer}
+	d.Parents = [][]int{{3, 1, 2}, nil, nil, nil}
+	leaf := func() *bayesnet.TreeNode { return bayesnet.NewTreeCPD(8, nil).Root }
+	byJoin := &bayesnet.TreeNode{Split: 0, Op: bayesnet.OpValue, Children: []*bayesnet.TreeNode{
+		leaf(),
+		{Split: 1, Op: bayesnet.OpLE, Arg: 47, Children: []*bayesnet.TreeNode{leaf(), leaf()}},
+	}}
+	d.Trees = map[int]*bayesnet.TreeCPD{
+		0: {ChildCard: 8, ParentCards: []int{2, 64, 64}, Root: &bayesnet.TreeNode{
+			Split: 1, Op: bayesnet.OpLE, Arg: 31, Children: []*bayesnet.TreeNode{
+				{Split: 1, Op: bayesnet.OpEQ, Arg: 7, Children: []*bayesnet.TreeNode{leaf(), leaf()}},
+				byJoin,
+			}}},
+		1: bayesnet.NewTreeCPD(64, nil),
+		2: bayesnet.NewTreeCPD(64, nil),
+		3: bayesnet.NewTreeCPD(2, nil),
+	}
+	coarse := encodeDTO(f, d)
+	if m, err := Decode(bytes.NewReader(coarse)); err != nil || m.serving[0].coarse == nil {
+		f.Fatalf("the coarsened seed does not decode to a model serving variable 0 over classes: %v", err)
+	}
+	f.Add(coarse)
+	flipped := append([]byte(nil), coarse...)
+	flipped[2*len(flipped)/3] ^= 0x01
+	f.Add(flipped)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Decode(bytes.NewReader(data))

@@ -250,6 +250,7 @@ type nodeKey struct {
 // and its plan are built once per parameter epoch and reused.
 type evalModel struct {
 	net       *bayesnet.Network
+	vids      []int             // PRM-level variable per node
 	tvs       map[string]string // closure tuple variables -> table
 	joinNodes []int             // asserted JoinTrue on every evaluation
 	sizeProd  float64
@@ -419,12 +420,16 @@ func (m *PRM) model(ep *paramEpoch, q *query.Query, e *evidence) (em *evalModel,
 		}
 		predNode[i] = node
 	}
+	for id, n := 0, len(b.vars); id < n; id++ {
+		b.coarsen(id)
+	}
 
-	// Number the nodes in PRM-variable order. The variables of one CPD's
-	// scope are distinct, so every node's scope then sorts like its PRM
-	// variable's, and its CPD factor has exactly the layout of the epoch's
-	// table for that variable: every network of the epoch reads one shared
-	// table per CPD.
+	// Number the nodes in PRM-level variable order, class variables last.
+	// The variables of one served CPD's scope are distinct, so every
+	// node's scope then sorts like its PRM-level variable's, and its CPD
+	// factor has exactly the layout of the epoch's table for that
+	// variable: every network of the epoch reads one shared table per
+	// served CPD.
 	order := make([]int, len(b.vars)) // new id -> creation id
 	for i := range order {
 		order[i] = i
@@ -442,6 +447,7 @@ func (m *PRM) model(ep *paramEpoch, q *query.Query, e *evidence) (em *evalModel,
 	}
 	em = &evalModel{
 		net:      bayesnet.New(vars),
+		vids:     vids,
 		tvs:      b.tupleVars,
 		sizeProd: 1,
 		predNode: predNode,
@@ -452,9 +458,9 @@ func (m *PRM) model(ep *paramEpoch, q *query.Query, e *evidence) (em *evalModel,
 			pars[i] = renum[p]
 		}
 		em.net.SetParents(id, pars)
-		em.net.SetCPD(id, ep.cpds[vids[id]])
+		em.net.SetCPD(id, m.servedCPD(ep, vids[id]))
 	}
-	em.net.SetTables(func(v int) []float64 { return m.table(ep, vids[v]) })
+	em.net.SetTables(func(v int) []float64 { return m.table(ep, em.vids[v]) })
 	for i, node := range predNode {
 		predNode[i] = renum[node]
 	}
@@ -596,6 +602,35 @@ func (b *evalBuilder) need(tv string, vid int) (int, error) {
 	}
 	b.pars[id] = parentIDs
 	return id, nil
+}
+
+// coarsen rewires node id, if serving reads its PRM variable's tree CPD
+// over classes, to its served parents: a kept parent node stays, a
+// dropped one is no longer its parent, and a mapped one reaches it
+// through a new class node of its own. The closure's nodes, tuple
+// variables and join indicators stay as they are, so the estimate's
+// event and size product are the dense network's.
+func (b *evalBuilder) coarsen(id int) {
+	s := &b.m.serving[b.vids[id]]
+	if s.coarse == nil {
+		return
+	}
+	pars := make([]int, 0, len(s.parents))
+	for i, k := range s.coarse.Cards {
+		if k == 0 {
+			continue
+		}
+		p := b.pars[id][i]
+		if cv := s.parents[len(pars)]; cv >= len(b.m.vars) {
+			class := len(b.vars)
+			b.vars = append(b.vars, bayesnet.Variable{Name: b.vars[id].Name + "/" + b.vars[p].Name, Card: k})
+			b.pars = append(b.pars, []int{p})
+			b.vids = append(b.vids, cv)
+			p = class
+		}
+		pars = append(pars, p)
+	}
+	b.pars[id] = pars
 }
 
 // joinTarget returns the tuple variable that tv's foreign key fk joins to,

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"reflect"
-	"strings"
 	"testing"
 
 	"prmsel/internal/bayesnet"
@@ -88,58 +87,82 @@ func TestPlanCacheHitRate(t *testing.T) {
 
 // TestPlanCacheSharesTables: an equality query and an IN query on one
 // core shape are two entries, each with its own network and plan, but for
-// every PRM variable all their nodes read one table — the epoch's, laid
-// out exactly as the node's own CPD expansion — and both answer bit for
-// bit like the plan-free reference.
+// every PRM-level variable — class variables included — all their nodes
+// read one table: the epoch's, laid out exactly as the expansion of the
+// node's served CPD. Both answer bit for bit like the plan-free
+// reference, and each network has a node of every served parent of a
+// variable it has a node of. The census shape reaches CPDs served over
+// classes, so its networks hold their class variables; the skew model
+// serves every CPD dense, so its networks hold no class variable and a
+// node of every PRM variable.
 func TestPlanCacheSharesTables(t *testing.T) {
-	m := learnPRM(t, skewDB(t, 300, 1500, 25), false)
-	base := func() *query.Query {
-		return query.New().Over("u", "Purchase").Over("p", "Person").KeyJoin("u", "Buyer", "p")
+	_, census := censusModel(t)
+	cases := []struct {
+		name    string
+		m       *PRM
+		qs      []*query.Query
+		classes bool
+	}{
+		{"skew", learnPRM(t, skewDB(t, 300, 1500, 25), false), []*query.Query{
+			query.New().Over("u", "Purchase").Over("p", "Person").KeyJoin("u", "Buyer", "p").
+				WhereEq("p", "Income", 1).WhereEq("u", "Amount", 0),
+			query.New().Over("u", "Purchase").Over("p", "Person").KeyJoin("u", "Buyer", "p").
+				Where("p", "Income", 0, 1).WhereEq("u", "Amount", 0),
+		}, false},
+		{"census", modelCopy(t, census), []*query.Query{
+			query.New().Over("c", "Census").WhereEq("c", "Children", 1).WhereEq("c", "Sex", 0),
+			query.New().Over("c", "Census").Where("c", "Children", 0, 1).WhereEq("c", "Sex", 0),
+		}, true},
 	}
-	qs := []*query.Query{
-		base().WhereEq("p", "Income", 1).WhereEq("u", "Amount", 0),
-		base().Where("p", "Income", 0, 1).WhereEq("u", "Amount", 0),
-	}
-	for i, q := range qs {
-		want, err := m.EstimateCountUncompiled(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := m.EstimateCount(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("query %d: compiled %v, uncompiled %v", i, got, want)
-		}
-	}
-	ep := m.params()
-	entries := *ep.queries.Load()
-	if len(entries) != 2 {
-		t.Fatalf("%d entries, want 2 (one per evidence pattern)", len(entries))
-	}
-	seen := map[int]int{} // PRM variable -> nodes checked
-	for _, em := range entries {
-		for v := 0; v < em.net.NumVars(); v++ {
-			name := em.net.Var(v).Name
-			vid := m.VarID(name[strings.IndexByte(name, ':')+1:])
-			if vid < 0 {
-				t.Fatalf("node %q names no PRM variable", name)
+	for _, tc := range cases {
+		m := tc.m
+		for i, q := range tc.qs {
+			want, err := m.EstimateCountUncompiled(q)
+			if err != nil {
+				t.Fatal(err)
 			}
-			f := em.net.Factor(v)
-			if &f.Data[0] != &m.table(ep, vid)[0] {
-				t.Fatalf("node %q reads its own copy of %s's table", name, m.Var(vid).Name())
+			got, err := m.EstimateCount(q)
+			if err != nil {
+				t.Fatal(err)
 			}
-			own := bayesnet.CPDFactor(em.net.CPD(v), v, em.net.Parents(v), em.net.Var(v).Card, em.net.ParentCards(v))
-			if !reflect.DeepEqual(f.Vars, own.Vars) || !reflect.DeepEqual(f.Card, own.Card) || !reflect.DeepEqual(f.Data, own.Data) {
-				t.Fatalf("node %q: the shared table is not laid out like the node's own CPD expansion", name)
+			if got != want {
+				t.Fatalf("%s query %d: compiled %v, uncompiled %v", tc.name, i, got, want)
 			}
-			seen[vid]++
 		}
-	}
-	for vid := 0; vid < m.NumVars(); vid++ {
-		if seen[vid] < 2 {
-			t.Fatalf("%s reached by %d nodes, want one in each network", m.Var(vid).Name(), seen[vid])
+		ep := m.params()
+		entries := *ep.queries.Load()
+		if len(entries) != 2 {
+			t.Fatalf("%s: %d entries, want 2 (one per evidence pattern)", tc.name, len(entries))
+		}
+		for e, em := range entries {
+			seen := map[int]bool{} // PRM-level variables the nodes stand for
+			for v := 0; v < em.net.NumVars(); v++ {
+				name, vid := em.net.Var(v).Name, em.vids[v]
+				f := em.net.Factor(v)
+				if &f.Data[0] != &m.table(ep, vid)[0] {
+					t.Fatalf("%s: node %q reads its own copy of variable %d's table", tc.name, name, vid)
+				}
+				own := bayesnet.CPDFactor(em.net.CPD(v), v, em.net.Parents(v), em.net.Var(v).Card, em.net.ParentCards(v))
+				if !reflect.DeepEqual(f.Vars, own.Vars) || !reflect.DeepEqual(f.Card, own.Card) || !reflect.DeepEqual(f.Data, own.Data) {
+					t.Fatalf("%s: node %q: the shared table is not laid out like the node's served CPD expansion", tc.name, name)
+				}
+				seen[vid] = true
+			}
+			classes := false
+			for vid := range seen {
+				classes = classes || vid >= m.NumVars()
+				for _, p := range m.serving[vid].parents {
+					if !seen[p] {
+						t.Fatalf("%s: network %q has a node of variable %d but none of its served parent %d", tc.name, e, vid, p)
+					}
+				}
+			}
+			if classes != tc.classes {
+				t.Fatalf("%s: network %q reaches class variables %v, want %v", tc.name, e, classes, tc.classes)
+			}
+			if !tc.classes && len(seen) != m.NumVars() {
+				t.Fatalf("%s: network %q reaches %d of the %d PRM variables, want every one", tc.name, e, len(seen), m.NumVars())
+			}
 		}
 	}
 }

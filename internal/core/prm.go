@@ -54,19 +54,24 @@ func (v Var) Name() string {
 
 // PRM is a learned probabilistic relational model.
 //
-// The structural fields (vars, index, parents, strata) are immutable after
-// construction. Everything a refit can change — CPDs, table sizes, their
-// expanded tables and the cache of compiled queries — lives in an
+// The structural fields (vars, index, parents, strata, serving) are
+// immutable after construction, save the class maps that serving builds
+// once on first use. Everything a refit can change — CPDs, table sizes,
+// their expanded tables and the cache of compiled queries — lives in an
 // immutable paramEpoch published through an atomic pointer, so the
-// estimate read path never takes a lock: a reader loads the epoch once per
-// request and works against a consistent snapshot while a concurrent refit
-// builds and publishes the next one.
+// estimate read path never takes a lock: a reader loads the epoch once
+// per request and works against a consistent snapshot while a concurrent
+// refit builds and publishes the next one.
 type PRM struct {
 	vars    []Var
 	index   map[string]int // Var.Name() -> id
 	parents [][]int
 	// strata is the table stratification order used during learning.
 	strata []string
+	// serving says how evaluation networks unroll each PRM-level
+	// variable: first the PRM variables, then one class variable per
+	// parent that a coarsened tree CPD maps to its classes (see serve).
+	serving []servedVar
 
 	// epoch is the atomically published parameter snapshot. Never nil on
 	// a constructed model (Learn/Decode install the first epoch).
@@ -84,20 +89,21 @@ type PRM struct {
 }
 
 // paramEpoch is one immutable generation of the model's parameters: the
-// CPDs, the table sizes that scale probabilities to counts, each CPD's
-// expanded table, and the cache of queries compiled against exactly these
-// CPDs. A refit never mutates a published epoch — it clones, refits the
-// clones, and swaps the pointer — so holders of an old epoch keep
-// estimating against internally consistent parameters, and the epoch swap
-// is the cache's invalidation: the new epoch starts with no tables and an
-// empty query map.
+// CPDs, the table sizes that scale probabilities to counts, each served
+// CPD and its expanded table, and the cache of queries compiled against
+// exactly these CPDs. A refit never mutates a published epoch — it
+// clones, refits the clones, and swaps the pointer — so holders of an old
+// epoch keep estimating against internally consistent parameters, and the
+// epoch swap is the cache's invalidation: the new epoch starts with no
+// tables and an empty query map.
 type paramEpoch struct {
 	cpds []bayesnet.CPD
 	// tableSize records |R| per table at learning (or last refit) time.
 	tableSize map[string]int64
-	// tables holds each CPD expanded over its PRM variable and parents
-	// (see PRM.table), filled on first use and shared by every evaluation
-	// network of the epoch.
+	// tables holds each PRM variable's served CPD expanded over its
+	// served parents (see PRM.served), filled on first use and shared by
+	// every evaluation network of the epoch. A class variable's map is
+	// the model's, not the epoch's (servedVar.classMap).
 	tables []cpdTable
 	// queries maps a query's full shape (evidence.key) to its unrolled
 	// evaluation network and compiled plan. The map value is immutable;
@@ -107,9 +113,10 @@ type paramEpoch struct {
 	hits, misses atomic.Uint64
 }
 
-// cpdTable is one lazily expanded CPD table.
+// cpdTable is one lazily built served CPD and its expanded table.
 type cpdTable struct {
 	once sync.Once
+	cpd  bayesnet.CPD
 	data []float64
 }
 
@@ -122,19 +129,111 @@ func newParamEpoch(cpds []bayesnet.CPD, tableSize map[string]int64) *paramEpoch 
 	return ep
 }
 
-// table returns PRM variable vid's CPD in ep expanded over vid and its
-// parents (bayesnet.CPDFactor in PRM ids), expanding it on first use.
-// Concurrent first uses expand it once.
-func (m *PRM) table(ep *paramEpoch, vid int) []float64 {
-	t := &ep.tables[vid]
-	t.once.Do(func() {
-		cards := make([]int, len(m.parents[vid]))
-		for i, p := range m.parents[vid] {
-			cards[i] = m.vars[p].Card
+// servedVar is how evaluation networks unroll one PRM-level variable.
+// A PRM variable whose tree CPD the selection rule picks
+// (bayesnet.Coarsen) is served over the classes its splits induce on
+// each parent: a kept parent stays its parent, a dropped one is no
+// parent at all, and a mapped one reaches it through a class variable of
+// its own — a PRM-level id after every PRM variable's, so that every
+// network reads one table per class variable, and every network of an
+// epoch one per coarsened CPD, exactly as for the other CPDs. Trees keep
+// their splits across refits, so the classes are fixed for the model's
+// life.
+type servedVar struct {
+	card int
+	// parents are the PRM-level ids of the variable's served parents.
+	parents []int
+	// coarse is non-nil for a PRM variable served over classes.
+	coarse *bayesnet.Coarsening
+	// classMap holds a class variable's 0/1 map and its table. They
+	// depend on the splits alone, so every epoch of the model shares
+	// them, built on first use.
+	classMap *cpdTable
+	// child and parent name the CPD and the parent index a class
+	// variable maps.
+	child, parent int
+}
+
+// serve derives m.serving from cpds, whose trees fix the classes; with
+// coarsen false every CPD is served over its parents' full domains (the
+// dense reference the coarsened answers are tested against).
+func (m *PRM) serve(cpds []bayesnet.CPD, coarsen bool) {
+	m.serving = make([]servedVar, len(m.vars))
+	for id, v := range m.vars {
+		s := &m.serving[id]
+		s.card, s.parents = v.Card, m.parents[id]
+		cards := m.parentCards(id)
+		if coarsen {
+			s.coarse = bayesnet.Coarsen(cpds[id], v.Card, cards)
 		}
-		t.data = bayesnet.CPDFactor(ep.cpds[vid], vid, m.parents[vid], m.vars[vid].Card, cards).Data
+		if s.coarse == nil {
+			continue
+		}
+		s.parents = nil
+		for i, k := range s.coarse.Cards {
+			switch {
+			case k == 0:
+			case !s.coarse.Mapped(i):
+				s.parents = append(s.parents, m.parents[id][i])
+			default:
+				s.parents = append(s.parents, len(m.serving))
+				m.serving = append(m.serving, servedVar{card: k, parents: m.parents[id][i : i+1], classMap: new(cpdTable), child: id, parent: i})
+				s = &m.serving[id] // the append may have moved it
+			}
+		}
+	}
+}
+
+// parentCards returns the cardinalities of PRM variable id's parents.
+func (m *PRM) parentCards(id int) []int {
+	cards := make([]int, len(m.parents[id]))
+	for i, p := range m.parents[id] {
+		cards[i] = m.vars[p].Card
+	}
+	return cards
+}
+
+// served returns PRM-level variable id's served CPD in ep and its table
+// expanded over id and its served parents in PRM-level ids, building
+// both on first use; concurrent first uses build them once. The CPD is
+// the epoch's own unless serving reads it over classes: then it is the
+// coarsened table, rebuilt for each epoch, and a class variable's is its
+// 0/1 map, built once for the model.
+func (m *PRM) served(ep *paramEpoch, id int) *cpdTable {
+	s := &m.serving[id]
+	t := s.classMap
+	if t == nil {
+		t = &ep.tables[id]
+	}
+	t.once.Do(func() {
+		switch {
+		case s.classMap != nil:
+			t.cpd = m.serving[s.child].coarse.Map(s.parent)
+		case s.coarse != nil:
+			t.cpd = s.coarse.Table(ep.cpds[id].(*bayesnet.TreeCPD))
+		default:
+			t.cpd = ep.cpds[id]
+		}
+		cards := make([]int, len(s.parents))
+		for i, p := range s.parents {
+			cards[i] = m.serving[p].card
+		}
+		t.data = bayesnet.CPDFactor(t.cpd, id, s.parents, s.card, cards).Data
 	})
-	return t.data
+	return t
+}
+
+// table returns PRM-level variable id's served table in ep (served).
+func (m *PRM) table(ep *paramEpoch, id int) []float64 { return m.served(ep, id).data }
+
+// servedCPD returns the CPD that networks of ep read for PRM-level
+// variable id (served), without expanding a CPD served as is: its table
+// waits until a plan reads it.
+func (m *PRM) servedCPD(ep *paramEpoch, id int) bayesnet.CPD {
+	if id < len(m.vars) && m.serving[id].coarse == nil {
+		return ep.cpds[id]
+	}
+	return m.served(ep, id).cpd
 }
 
 // params returns the current parameter epoch. Callers that make several
